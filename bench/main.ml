@@ -822,7 +822,7 @@ let flowscale () =
 
 (* Parallel branch-and-bound scaling (also reachable as
    --compare-jobs): solve the same PPM(k) MIPs with jobs = 1, 2, 4
-   worker domains in deterministic mode and compare wall time. The
+   worker domains and compare wall time. The
    determinism contract says the device set, objective, node count and
    optimality proof must be identical for every jobs value — the run
    fails its [parscale_identical] gate otherwise. The speedup gate
@@ -871,7 +871,6 @@ let parscale () =
                 {
                   Monpos_lp.Mip.default_options with
                   Monpos_lp.Mip.jobs;
-                  deterministic = true;
                   max_nodes;
                   (* generous: a deadline stop is the one
                      timing-dependent exit, so the node budget must be
@@ -997,8 +996,7 @@ let obsoverhead () =
   let options =
     {
       Monpos_lp.Mip.default_options with
-      Monpos_lp.Mip.deterministic = true;
-      max_nodes = (if full_mode then 40 else 12);
+      Monpos_lp.Mip.max_nodes = (if full_mode then 40 else 12);
       time_limit = 900.0;
     }
   in
@@ -1089,8 +1087,7 @@ let ckoverhead () =
   let options =
     {
       Monpos_lp.Mip.default_options with
-      Monpos_lp.Mip.deterministic = true;
-      max_nodes = (if full_mode then 40 else 12);
+      Monpos_lp.Mip.max_nodes = (if full_mode then 40 else 12);
       time_limit = 900.0;
     }
   in
@@ -1260,16 +1257,14 @@ let report_doc ~total_seconds phases =
       (* the run manifest joins this report with traces and snapshots
          from the same invocation (monitorctl diff --bench reads it) *)
       ( "run",
-        (* jobs/scheduler describe the default solver configuration of
-           this bench process (parscale sweeps its own jobs values and
+        (* jobs describes the default solver configuration of this
+           bench process (parscale sweeps its own jobs values and
            reports them as extras) *)
         Monpos_obs.Runinfo.to_json
           (Monpos_obs.Runinfo.capture
              ?chaos_seed:(Monpos_resilience.Chaos.seed ())
              ~jobs:
                (Monpos_lp.Mip.resolved_jobs Monpos_lp.Mip.default_options)
-             ~scheduler:
-               (Monpos_lp.Mip.scheduler_mode Monpos_lp.Mip.default_options)
              ()) );
       ("generated_at_unix", Json.Float (Clock.now ()));
       ("total_seconds", Json.Float total_seconds);

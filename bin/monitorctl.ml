@@ -200,14 +200,14 @@ let start_stack_ticker sink hz =
    threshold, the run manifest (emitted on the sink, stamped into
    /statusz and every flight dump), and the stack-sampling ticker.
    Everything is torn down afterwards, then the metrics table /
-   Prometheus snapshot render when requested. [jobs]/[scheduler]
-   describe the parallel solver configuration the subcommand resolved,
-   for the manifest. The whole body runs inside the typed-error
-   boundary: any Monpos_resilience.Error that escapes — including the
-   Io_error we raise for an unopenable --trace or --prom-out
-   destination — becomes a one-line message and a documented exit code
-   instead of a backtrace; any other uncaught exception snapshots the
-   flight recorder before propagating. *)
+   Prometheus snapshot render when requested. [jobs] is the
+   worker-domain count the subcommand resolved, for the manifest. The
+   whole body runs inside the typed-error boundary: any
+   Monpos_resilience.Error that escapes — including the Io_error we
+   raise for an unopenable --trace or --prom-out destination — becomes
+   a one-line message and a documented exit code instead of a
+   backtrace; any other uncaught exception snapshots the flight
+   recorder before propagating. *)
 
 (* Fail fast (Io_error, exit 2) on an unwritable --checkpoint or
    --flight-dump destination: both are written late in the run — at a
@@ -234,7 +234,7 @@ let validate_writable ~path dir =
    with Sys_error msg -> Rerror.io_error ~path msg);
   try Sys.remove probe with Sys_error _ -> ()
 
-let with_obs ?jobs ?scheduler ?checkpoint obs f =
+let with_obs ?jobs ?checkpoint obs f =
   try
     Option.iter
       (fun p -> validate_writable ~path:p (Filename.dirname p))
@@ -278,7 +278,7 @@ let with_obs ?jobs ?scheduler ?checkpoint obs f =
         let ri =
           Monpos_obs.Runinfo.capture
             ?chaos_seed:(Monpos_resilience.Chaos.seed ())
-            ?jobs ?scheduler ()
+            ?jobs ()
         in
         Monpos_obs.Runinfo.emit sink ri;
         Monpos_obs.Status.set_manifest (Monpos_obs.Runinfo.to_json ri);
@@ -353,21 +353,20 @@ let solver_term =
     let doc =
       "Worker domains for the branch-and-bound search (default 1, or \
        $(b,MONPOS_JOBS) when set; 0 means one per CPU core). The \
-       default deterministic scheduler returns the same incumbent, \
-       objective, bound and node count for every value of $(docv)."
+       wave scheduler returns the same incumbent, objective, bound \
+       and node count for every value of $(docv)."
     in
     Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
   in
   let checkpoint_arg =
     let doc =
       "Write crash-recovery checkpoints of the branch-and-bound state \
-       to $(docv): atomic tmp-file + rename replaces, at wave barriers \
-       of the deterministic scheduler, every $(b,--checkpoint-every) \
-       seconds and once more when the solve stops at a limit or is \
-       preempted. Continue an interrupted solve with $(b,monitorctl \
-       resume) $(docv) — the resumed result is bit-identical to the \
-       uninterrupted one. The destination directory is validated \
-       writable at startup (exit 2 otherwise)."
+       to $(docv): atomic tmp-file + rename replaces, at wave barriers, \
+       every $(b,--checkpoint-every) seconds and once more when the \
+       solve stops at a limit or is preempted. Continue an interrupted \
+       solve with $(b,monitorctl resume) $(docv) — the resumed result \
+       is bit-identical to the uninterrupted one. The destination \
+       directory is validated writable at startup (exit 2 otherwise)."
     in
     Arg.(
       value
@@ -584,7 +583,6 @@ let passive_cmd =
     let options = tune Mip.default_options in
     with_obs
       ~jobs:(Mip.resolved_jobs options)
-      ~scheduler:(Mip.scheduler_mode options)
       ?checkpoint:options.Mip.checkpoint obs
     @@ fun () ->
     let inst =
@@ -668,7 +666,6 @@ let sampling_cmd =
     let options = tune Sampling.default_milp_options in
     with_obs
       ~jobs:(Mip.resolved_jobs options)
-      ~scheduler:(Mip.scheduler_mode options)
       ?checkpoint:options.Mip.checkpoint obs
     @@ fun () ->
     let _, inst = load_instance preset seed in
@@ -728,7 +725,6 @@ let active_cmd =
     let options = tune Mip.default_options in
     with_obs
       ~jobs:(Mip.resolved_jobs options)
-      ~scheduler:(Mip.scheduler_mode options)
       ?checkpoint:options.Mip.checkpoint obs
     @@ fun () ->
     let pop = Pop.make_preset preset ~seed in
@@ -811,7 +807,7 @@ let dynamic_cmd =
     in
     with_obs
       ~jobs:(Mip.resolved_jobs milp_options)
-      ~scheduler:(Mip.scheduler_mode milp_options) obs
+      obs
     @@ fun () ->
     let kernel = Option.map (fun algo -> Sampling.Flow algo) flow_kernel in
     let points =
@@ -1107,7 +1103,6 @@ let resume_cmd =
     in
     with_obs
       ~jobs:(Mip.resolved_jobs options)
-      ~scheduler:"wave"
       ~checkpoint:(Option.value checkpoint ~default:ckpt)
       obs
     @@ fun () ->
@@ -1187,7 +1182,7 @@ let metrics_serve_cmd =
     let options = tune Mip.default_options in
     with_obs
       ~jobs:(Mip.resolved_jobs options)
-      ~scheduler:(Mip.scheduler_mode options) obs
+      obs
     @@ fun () ->
     (* the warm-up solve runs on its own domain while the serve loop
        answers, so /healthz, /statusz and /metrics show the live

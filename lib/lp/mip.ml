@@ -3,16 +3,14 @@ module Metrics = Monpos_obs.Metrics
 module Clock = Monpos_obs.Clock
 module Sampler = Monpos_obs.Sampler
 module Status = Monpos_obs.Status
-module Json = Monpos_obs.Json
 module Flightrec = Monpos_obs.Flightrec
 module Error = Monpos_resilience.Error
 module Deadline = Monpos_resilience.Deadline
 module Chaos = Monpos_resilience.Chaos
 module Preempt = Monpos_resilience.Preempt
-module Ckpt = Monpos_resilience.Checkpoint
 module Prng = Monpos_util.Prng
-module Wsdeque = Monpos_util.Wsdeque
 module H = Monpos_util.Heap
+include Mip_types
 
 (* module-scope instrument handles: registration is idempotent and
    handles survive Metrics.reset, so hot paths pay no lookup. Every
@@ -26,10 +24,9 @@ let m_prunes = lazy (Metrics.counter Metrics.default "mip.prunes")
 
 let m_solves = lazy (Metrics.counter Metrics.default "mip.solves")
 
+(* registered at entry so every solve reports it; the worker pool adds
+   its steal counts at shutdown *)
 let m_steals = lazy (Metrics.counter Metrics.default "mip.steals")
-
-let m_worker_failures =
-  lazy (Metrics.counter Metrics.default "mip.worker_failures")
 
 (* checkpoint write count plus the wall-clock instant of the last
    write: /statusz derives the operator-facing "checkpoint age" (how
@@ -57,67 +54,6 @@ let m_g_bound = lazy (Metrics.gauge Metrics.default "mip.bound")
 
 let m_g_gap = lazy (Metrics.gauge Metrics.default "mip.gap")
 
-(* per-worker series, labeled by worker slot (0 = the coordinating
-   domain), not by runtime domain id: slot labels keep the series
-   cardinality bounded by [jobs] where raw domain ids would grow
-   without bound across solves. Registration happens on the main
-   domain only (before spawn or after join); workers touch nothing
-   but the returned handles. *)
-let m_nodes_w w =
-  Metrics.counter
-    ~labels:[ ("domain", string_of_int w) ]
-    Metrics.default "mip.nodes"
-
-let m_idle_w w =
-  Metrics.gauge
-    ~labels:[ ("domain", string_of_int w) ]
-    Metrics.default "mip.idle_seconds"
-
-type branching = Most_fractional | Pseudocost
-
-type options = {
-  branching : branching;
-  max_nodes : int;
-  time_limit : float;
-  gap_tolerance : float;
-  integrality_tol : float;
-  heuristic_period : int;
-  warm_start : bool;
-  presolve : bool;
-  kernel : Simplex.kernel;
-  jobs : int;
-  deterministic : bool;
-  wave : int;
-  checkpoint : string option;
-  checkpoint_every : float;
-  log : bool;
-}
-
-let env_jobs () =
-  match Sys.getenv_opt "MONPOS_JOBS" with
-  | None | Some "" -> 1
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with Some j -> j | None -> 1)
-
-let default_options =
-  {
-    branching = Pseudocost;
-    max_nodes = 200_000;
-    time_limit = 120.0;
-    gap_tolerance = 1e-9;
-    integrality_tol = 1e-6;
-    heuristic_period = 16;
-    warm_start = true;
-    presolve = true;
-    kernel = Simplex.Sparse_lu;
-    jobs = env_jobs ();
-    deterministic = true;
-    wave = 16;
-    checkpoint = None;
-    checkpoint_every = 60.0;
-    log = false;
-  }
-
 type status = Optimal | Feasible | Infeasible | Unbounded | No_solution
 
 type result = {
@@ -131,87 +67,161 @@ type result = {
   preempted : bool;
 }
 
-type node = {
-  lower : float array;
-  upper : float array;
-  depth : int;
-  (* deterministic creation sequence number: the root is 0 and
-     children get consecutive numbers in coordinator merge order (down
-     branch before up branch), so seq totally orders nodes by creation
-     independently of which domain later solves them *)
-  seq : int;
-  (* pseudocost bookkeeping: which branch created this node, and the
-     parent relaxation's score and fractional part, so the child's LP
-     value updates the per-variable degradation statistics *)
-  branched : (int * [ `Down | `Up ] * float * float) option;
-  (* the parent relaxation's optimal basis (basic-variable index set):
-     the child differs by one bound, so this basis is dual feasible
-     and the node re-solve warm-starts off it *)
-  start_basis : Simplex.basis option;
+let resolved_jobs options =
+  let j =
+    if options.jobs <= 0 then Domain.recommended_domain_count ()
+    else options.jobs
+  in
+  max 1 j
+
+(* ---- node evaluation: the node LP plus the dive -------------------- *)
+
+(* The per-solve constants: everything a node evaluation reads, plus
+   what the coordinator needs for checkpoints and the final report.
+   Node evaluations run on any domain; the only thing they write is
+   the incumbent cell, through its CAS. *)
+type ctx = {
+  options : options;
+  model : Model.t;  (** the presolved model *)
+  problem : Simplex.problem;
+  lp_options : Simplex.options;
+  deadline : Deadline.t;
+  budget : float;
+  elapsed_base : float;  (** seconds a resumed run had already spent *)
+  sink : Trace.sink;
+  minimize : bool;
+  int_vars : int list;
+  (* every objective coefficient sits on an integer variable and is
+     itself integral: any LP bound can be rounded up to the next
+     integer — a large amount of extra pruning for pure cardinality
+     objectives like the paper's device counts *)
+  integral_objective : bool;
+  incumbent : Incumbent.t;
+  prngs : Prng.t array;  (** per-slot steal-victim streams *)
 }
 
-(* Internal scores are minimization scores: score = obj for Minimize,
-   -obj for Maximize, so "smaller is better" throughout. *)
+let to_score ctx obj = if ctx.minimize then obj else -.obj
 
-(* Shared incumbent under a deterministic total order.
+let of_score ctx s = if ctx.minimize then s else -.s
 
-   Candidates are ordered by score with ties broken by the (node seq,
-   sub) key under which the candidate was produced (sub 0 is the
-   node's own integral relaxation, sub >= 1 a diving candidate of that
-   node). Keys are unique and the comparison is exact — no tolerance
-   band — so publication is a lattice meet: the final cell content is
-   the minimum over every candidate ever offered, independent of
-   arrival order. That is the heart of the deterministic-mode
-   contract: any interleaving of worker publishes converges to the
-   same incumbent.
+let sharpen ctx score =
+  if ctx.integral_objective && score > neg_infinity && score < infinity then
+    Float.round (Float.ceil (score -. 1e-6))
+  else score
 
-   The same exact order also makes work-skipping provably safe: a dive
-   whose candidates all carry score >= s and key >= k can be skipped
-   whenever the current cell beats (s, k), because the final incumbent
-   beats the current cell and therefore beats everything the dive
-   could have produced. Which skips happen is timing-dependent; the
-   result is not. *)
-module Incumbent = struct
-  type cand = { score : float; key : int * int; x : float array }
+(* most fractional integer variable, or None if integral *)
+let fractional_var ctx primal =
+  let itol = ctx.options.integrality_tol in
+  let best = ref (-1) and best_dist = ref 0.0 in
+  List.iter
+    (fun v ->
+      let x = primal.(v) in
+      let dist = abs_float (x -. Float.round x) in
+      if dist > itol && dist > !best_dist then begin
+        best := v;
+        best_dist := dist
+      end)
+    ctx.int_vars;
+  if !best = -1 then None else Some !best
 
-  type t = cand option Atomic.t
+let inc_score ctx =
+  match Incumbent.get ctx.incumbent with
+  | Some c -> c.Incumbent.score
+  | None -> infinity
 
-  let create () : t = Atomic.make None
+(* could a candidate at [score] with minimal key [key] (or any
+   candidate from a subtree bounded below by that pair) still become
+   the final incumbent? The order is exact, so "no" is a proof and
+   the work can be dropped on any domain without changing the
+   result. *)
+let worth ctx ~key score =
+  match Incumbent.get ctx.incumbent with
+  | None -> true
+  | Some c ->
+    score < c.Incumbent.score
+    || (score = c.Incumbent.score && key < c.Incumbent.key)
 
-  let better a b = a.score < b.score || (a.score = b.score && a.key < b.key)
+(* prune test: a (sharpened) score at or above incumbent -
+   gap_tolerance*(1+|incumbent|) cannot improve the answer by more
+   than the accepted gap. False while no incumbent exists. *)
+let within_gap ctx score =
+  match Incumbent.get ctx.incumbent with
+  | None -> false
+  | Some c ->
+    score
+    >= c.Incumbent.score
+       -. (ctx.options.gap_tolerance *. (1.0 +. abs_float c.Incumbent.score))
 
-  let beats c = function None -> true | Some i -> better c i
+let publish_candidate ctx ~key primal score =
+  if worth ctx ~key score then begin
+    (* snap integers exactly before the feasibility re-check *)
+    let snapped = Array.copy primal in
+    List.iter (fun v -> snapped.(v) <- Float.round snapped.(v)) ctx.int_vars;
+    if Model.value_feasible ~tol:1e-6 ctx.model snapped then begin
+      let c = { Incumbent.score; key; x = snapped } in
+      if Incumbent.publish ctx.incumbent c then begin
+        Metrics.incr (Lazy.force m_incumbents);
+        Metrics.set (Lazy.force m_g_incumbent) (of_score ctx score);
+        if Trace.enabled ctx.sink then
+          Trace.incumbent ctx.sink ~solver:"mip" ~node:(fst key)
+            ~objective:(of_score ctx score);
+        if ctx.options.log then
+          Printf.eprintf "[mip] incumbent %.6f\n%!" (of_score ctx score)
+      end
+    end
+  end
 
-  let rec publish t c =
-    let cur = Atomic.get t in
-    if beats c cur then
-      if Atomic.compare_and_set t cur (Some c) then true else publish t c
-    else false
-
-  let get = Atomic.get
-end
-
-(* per-search pseudocost state: average objective degradation per unit
-   of rounded-away fraction, per variable and direction. Owned by the
-   coordinator in deterministic mode (updated only at merge, in wave
-   order — a worker-side update would make branching decisions depend
-   on scheduling); per-worker in async mode. *)
-type pc = {
-  pc_down : float array;
-  pc_down_n : int array;
-  pc_up : float array;
-  pc_up_n : int array;
-}
-
-let pc_create n =
-  {
-    pc_down = Array.make n 0.0;
-    pc_down_n = Array.make n 0;
-    pc_up = Array.make n 0.0;
-    pc_up_n = Array.make n 0;
-  }
-
-(* ---- deterministic wave pool ------------------------------------- *)
+(* LP diving: repeatedly fix the most fractional integer variable to
+   its rounded value (retrying the opposite value if that kills
+   feasibility) until the LP relaxation comes out integral. Much more
+   reliable than one-shot rounding on covering-type programs, where
+   rounding fractional openings down is almost always infeasible.
+   Runs entirely on the domain that owns the node; the candidate is
+   published under key (node seq, 1) so the incumbent order covers
+   it. *)
+let dive ctx node primal0 basis0 =
+  let lower = Array.copy node.lower and upper = Array.copy node.upper in
+  let warm basis = if ctx.options.warm_start then Some basis else None in
+  let lp basis =
+    Simplex.solve ~lower ~upper ?basis:(warm basis) ~deadline:ctx.deadline
+      ~options:ctx.lp_options ctx.problem
+  in
+  let rec go primal basis fuel =
+    if fuel >= 0 then
+      match fractional_var ctx primal with
+      | None ->
+        (* integral: re-solve once to get the continuous completion *)
+        let sol = lp basis in
+        if sol.Simplex.status = Simplex.Optimal then
+          publish_candidate ctx ~key:(node.seq, 1) sol.Simplex.primal
+            (to_score ctx sol.Simplex.objective)
+      | Some v ->
+        let try_fix value =
+          let saved_l = lower.(v) and saved_u = upper.(v) in
+          lower.(v) <- value;
+          upper.(v) <- value;
+          let sol = lp basis in
+          if sol.Simplex.status = Simplex.Optimal then Some sol
+          else begin
+            lower.(v) <- saved_l;
+            upper.(v) <- saved_u;
+            None
+          end
+        in
+        let rounded = Float.round primal.(v) in
+        let rounded = max node.lower.(v) (min node.upper.(v) rounded) in
+        let other =
+          if rounded +. 1.0 <= upper.(v) +. 1e-9 then rounded +. 1.0
+          else rounded -. 1.0
+        in
+        (match try_fix rounded with
+        | Some sol -> go sol.Simplex.primal sol.Simplex.basis (fuel - 1)
+        | None -> (
+          match try_fix other with
+          | Some sol -> go sol.Simplex.primal sol.Simplex.basis (fuel - 1)
+          | None -> ()))
+  in
+  go primal0 basis0 (List.length ctx.int_vars)
 
 type outcome =
   | O_pending
@@ -227,731 +237,326 @@ type task = {
   t_num : int;
   t_dive : bool;
   mutable t_outcome : outcome;
-  (* how many worker slots have already died while holding this task;
-     the supervisor requeues up to a small cap, past which the failure
-     is evidently the task's own (a deterministic bug) and propagates *)
-  mutable t_tries : int;
 }
 
-(* chaos site [domain.die]: the injected fail-stop worker death. The
-   exception deliberately is not [Error.Error] — the supervisor must
-   treat it like any other unexpected worker crash. *)
-exception Worker_killed of int
-
-(* A pool of [jobs - 1] spawned worker domains plus the coordinator
-   (slot 0). Work arrives in waves: the coordinator publishes a
-   generation bump with [p_remaining] set to the wave size, deals the
-   tasks round-robin into the per-worker deques, and every slot then
-   drains tasks — own deque first (LIFO), stealing from the top of
-   random victims when empty. The barrier is [p_remaining] reaching
-   zero; setting [p_remaining] before the pushes matters, because a
-   straggler from the previous wave may steal a new task early and
-   its decrement must land on an initialized counter. *)
-type pool = {
-  p_jobs : int;
-  p_deques : task Wsdeque.t array;
-  p_lock : Mutex.t;
-  p_cond : Condition.t;
-  mutable p_generation : int;
-  mutable p_remaining : int;
-  mutable p_quit : bool;
-  mutable p_failure : exn option;
-  (* fail-stop supervision state: a slot whose task raised is marked
-     dead, its unfinished work moves to [p_retry] (guarded by
-     [p_lock]), and the surviving slots drain it. Slot 0 (the
-     coordinator) is never marked dead — a coordinator failure
-     propagates, exactly as before. *)
-  p_dead : bool array;
-  p_retry : task Queue.t;
-  p_steals : int array;
-  p_idle : float array;
-  p_nodes_w : Metrics.counter array;
-  p_process : int -> task -> unit;
-  p_sink : Trace.sink;
-  mutable p_domains : unit Domain.t array;
-}
-
-let take_retry pool =
-  Mutex.protect pool.p_lock (fun () ->
-      if Queue.is_empty pool.p_retry then None
-      else Some (Queue.pop pool.p_retry))
-
-let find_task pool w prng =
-  match Wsdeque.pop pool.p_deques.(w) with
-  | Some _ as t -> t
-  | None -> (
-    match take_retry pool with
-    | Some _ as t -> t
+(* Solve a task's node LP, offer an integral relaxation to the
+   incumbent, dive when the task asks for it, and leave the outcome
+   for the merge. Runs on whichever domain the pool hands it to, and
+   may run twice when a worker slot dies mid-task: everything it
+   writes is either the outcome (overwritten whole) or an incumbent
+   offer (idempotent under the exact order). *)
+let evaluate ctx (t : task) =
+  (* Scoped chaos is suppressed during node processing: a fault
+     injected into one node LP (say a singular warm basis) is
+     recovered to the same optimum but possibly a different basis and
+     primal, and which domain solves which node is timing-dependent —
+     letting it fire here would break jobs-invariance. Chaos still
+     hits the coordinator points (deadline compression at entry, NaN
+     poisoning at merge) and every LP solve outside the search. *)
+  Chaos.suppress @@ fun () ->
+  let node = t.t_node in
+  let sol =
+    Simplex.solve ~lower:node.lower ~upper:node.upper
+      ?basis:(if ctx.options.warm_start then node.start_basis else None)
+      ~deadline:ctx.deadline ~options:ctx.lp_options ctx.problem
+  in
+  match sol.Simplex.status with
+  | Simplex.Infeasible -> t.t_outcome <- O_infeasible
+  | Simplex.Iteration_limit -> t.t_outcome <- O_iter_limit
+  | Simplex.Deadline_reached -> t.t_outcome <- O_deadline
+  | Simplex.Unbounded -> t.t_outcome <- O_unbounded
+  | Simplex.Optimal ->
+    let raw = to_score ctx sol.Simplex.objective in
+    (match fractional_var ctx sol.Simplex.primal with
     | None ->
-      let start = Prng.int prng pool.p_jobs in
-      let rec sweep i =
-        if i = pool.p_jobs then None
-        else
-          let v = (start + i) mod pool.p_jobs in
-          if v = w then sweep (i + 1)
-          else
-            match Wsdeque.steal pool.p_deques.(v) with
-            | Some _ as t ->
-              pool.p_steals.(w) <- pool.p_steals.(w) + 1;
-              t
-            | None -> sweep (i + 1)
-      in
-      sweep 0)
+      publish_candidate ctx ~key:(node.seq, 0) sol.Simplex.primal
+        (sharpen ctx raw)
+    | Some _ ->
+      (* skipping a provably-losing dive is result-invariant (see
+         Incumbent); (node.seq, 1) bounds every candidate the dive
+         could offer from below *)
+      if t.t_dive && worth ctx ~key:(node.seq, 1) raw then
+        dive ctx node sol.Simplex.primal sol.Simplex.basis);
+    t.t_outcome <-
+      O_optimal { raw; primal = sol.Simplex.primal; basis = sol.Simplex.basis }
 
-let record_failure pool e =
-  Mutex.protect pool.p_lock (fun () ->
-      match pool.p_failure with
-      | None -> pool.p_failure <- Some e
-      | Some _ -> ())
+(* ---- frontier and branching state ---------------------------------- *)
 
-let task_done pool =
-  Mutex.protect pool.p_lock (fun () ->
-      pool.p_remaining <- pool.p_remaining - 1;
-      if pool.p_remaining = 0 then Condition.broadcast pool.p_cond)
-
-(* Fail-stop containment for a dying worker slot: the slot is marked
-   dead, the failed task and everything still sitting in the slot's
-   own deque move to the retry queue, and the survivors are woken to
-   drain it. [p_remaining] is deliberately not decremented for the
-   requeued tasks — the wave barrier completes only once a survivor
-   has actually finished them, so a merge never sees an [O_pending]
-   outcome. Re-solving a node LP is deterministic, so the wave's
-   results are bit-identical to an undisturbed run. *)
-let supervise_failure pool w t e =
-  t.t_tries <- t.t_tries + 1;
-  Mutex.protect pool.p_lock (fun () ->
-      pool.p_dead.(w) <- true;
-      Queue.push t pool.p_retry;
-      let rec drain_own () =
-        match Wsdeque.pop pool.p_deques.(w) with
-        | Some t' ->
-          Queue.push t' pool.p_retry;
-          drain_own ()
-        | None -> ()
-      in
-      drain_own ();
-      Condition.broadcast pool.p_cond);
-  Metrics.incr (Lazy.force m_worker_failures);
-  if Trace.enabled pool.p_sink then
-    Trace.worker_failure pool.p_sink ~slot:w ~reason:(Printexc.to_string e);
-  Flightrec.trigger ~reason:"worker_failure"
-
-let rec drain_wave pool w prng =
-  if pool.p_dead.(w) then ()
-  else
-    match find_task pool w prng with
-    | Some t -> (
-      match
-        (* the die site fires only on a task's first attempt: a worker
-           picking up a requeued task must not die on it again, or a
-           single unlucky task could fell every slot in turn *)
-        if
-          w > 0 && t.t_tries = 0
-          && Chaos.fire ~scoped:false ~site:"domain.die" ~p:0.02 ()
-        then raise (Worker_killed w)
-        else pool.p_process w t
-      with
-      | () ->
-        Metrics.incr pool.p_nodes_w.(w);
-        task_done pool;
-        drain_wave pool w prng
-      | exception e ->
-        (* Typed solver errors ([Error.Error]) are findings about the
-           model, not the worker — they propagate whole. So does any
-           failure on slot 0 (losing the coordinator means losing the
-           merge), and a task that has already killed several slots. *)
-        let supervisable =
-          w > 0 && t.t_tries < 3
-          && (match e with Error.Error _ -> false | _ -> true)
-        in
-        if supervisable then supervise_failure pool w t e
-        else begin
-          record_failure pool e;
-          task_done pool;
-          drain_wave pool w prng
-        end)
-    | None ->
-      (* nothing stealable: either the wave is done or every remaining
-         task is in flight on another slot — wait for the zero broadcast *)
-      let finished =
-        Mutex.protect pool.p_lock (fun () ->
-            if pool.p_remaining > 0 && not pool.p_quit then begin
-              let t0 = Clock.now () in
-              Condition.wait pool.p_cond pool.p_lock;
-              pool.p_idle.(w) <- pool.p_idle.(w) +. (Clock.now () -. t0);
-              false
-            end
-            else true)
-      in
-      if not finished then drain_wave pool w prng
-
-let rec worker_loop pool w prng my_gen sink =
-  let next =
-    Mutex.protect pool.p_lock (fun () ->
-        let t0 = Clock.now () in
-        while (not pool.p_quit) && pool.p_generation = my_gen do
-          Condition.wait pool.p_cond pool.p_lock
-        done;
-        pool.p_idle.(w) <- pool.p_idle.(w) +. (Clock.now () -. t0);
-        if pool.p_quit then None else Some pool.p_generation)
-  in
-  match next with
-  | None ->
-    (* domain exit: push out any events this domain buffered, so a
-       reader never sees a torn per-domain span pair *)
-    Trace.flush sink
-  | Some gen ->
-    drain_wave pool w prng;
-    worker_loop pool w prng gen sink
-
-let create_pool ~jobs ~prngs ~process ~sink =
-  let pool =
-    {
-      p_jobs = jobs;
-      p_deques = Array.init jobs (fun _ -> Wsdeque.create ());
-      p_lock = Mutex.create ();
-      p_cond = Condition.create ();
-      p_generation = 0;
-      p_remaining = 0;
-      p_quit = false;
-      p_failure = None;
-      p_dead = Array.make jobs false;
-      p_retry = Queue.create ();
-      p_steals = Array.make jobs 0;
-      p_idle = Array.make jobs 0.0;
-      p_nodes_w = Array.init jobs m_nodes_w;
-      p_process = process;
-      p_sink = sink;
-      p_domains = [||];
-    }
-  in
-  pool.p_domains <-
-    Array.init (jobs - 1) (fun i ->
-        let w = i + 1 in
-        let prng = prngs.(w) in
-        Domain.spawn (fun () -> worker_loop pool w prng 0 sink));
-  pool
-
-let run_wave pool prng0 tasks =
-  let n = List.length tasks in
-  Mutex.protect pool.p_lock (fun () ->
-      pool.p_remaining <- n;
-      pool.p_generation <- pool.p_generation + 1;
-      Condition.broadcast pool.p_cond);
-  (* deal only to surviving slots: a dead slot's deque has no owner to
-     pop it, and while thieves could still steal from it, leaving work
-     there would make the common case (no thief looks) a stall *)
-  let alive =
-    let l = ref [] in
-    for w = pool.p_jobs - 1 downto 0 do
-      if not pool.p_dead.(w) then l := w :: !l
-    done;
-    Array.of_list !l
-  in
-  List.iteri
-    (fun i t ->
-      Wsdeque.push pool.p_deques.(alive.(i mod Array.length alive)) t)
-    tasks;
-  (* second broadcast: a worker that woke on the generation bump,
-     found the deques still empty and went back to waiting needs a
-     poke now that the tasks are actually visible *)
-  Mutex.protect pool.p_lock (fun () -> Condition.broadcast pool.p_cond);
-  drain_wave pool 0 prng0;
-  Mutex.protect pool.p_lock (fun () ->
-      let t0 = Clock.now () in
-      while pool.p_remaining > 0 do
-        Condition.wait pool.p_cond pool.p_lock
-      done;
-      pool.p_idle.(0) <- pool.p_idle.(0) +. (Clock.now () -. t0));
-  match pool.p_failure with
-  | Some e ->
-    pool.p_failure <- None;
-    raise e
-  | None -> ()
-
-let shutdown pool =
-  Mutex.protect pool.p_lock (fun () ->
-      pool.p_quit <- true;
-      Condition.broadcast pool.p_cond);
-  Array.iter Domain.join pool.p_domains;
-  let stolen = Array.fold_left ( + ) 0 pool.p_steals in
-  if stolen > 0 then Metrics.add (Lazy.force m_steals) stolen;
-  Array.iteri
-    (fun w s ->
-      if s > 0.0 then begin
-        let g = m_idle_w w in
-        Metrics.set g (Metrics.gauge_value g +. s)
-      end)
-    pool.p_idle
-
-let resolved_jobs options =
-  let j =
-    if options.jobs <= 0 then Domain.recommended_domain_count ()
-    else options.jobs
-  in
-  max 1 j
-
-let scheduler_mode options = if options.deterministic then "wave" else "async"
-
-(* ---- checkpoint (de)serialization ---------------------------------
-
-   The checkpoint captures the deterministic wave scheduler's complete
-   search state at a wave barrier: the (post-presolve) model, the
-   search-shaping options, the open-node frontier with bounds and
-   warm-start bases, the incumbent, the pseudocost tables, the worker
-   PRNG stream positions and the run manifest. Two representation
-   choices carry the determinism-under-resume contract:
-
-   - every float travels as a hexadecimal literal ("%h"), so bounds,
-     coefficients, scores and PRNG-derived values round-trip
-     bit-exactly — resumed arithmetic starts from the very same bits;
-
-   - the heap is stored as its verbatim internal array (Heap.snapshot
-     / Heap.restore), not as a sorted drain: a rebuild by re-pushing
-     would reorder equal keys and change which of two tied nodes is
-     expanded first.
-
-   The container (header, checksum trailer, atomic tmp-then-rename
-   replace) is Monpos_resilience.Checkpoint; this block only encodes
-   and decodes the body lines. *)
-
-let ck_magic = "monpos-mip-checkpoint"
-
-let ck_version = 1
-
-(* everything [resume] needs to restart [solve_gen] mid-search *)
-type saved = {
-  s_path : string;
-  s_options : options;
-  s_model : Model.t;
-  s_elapsed : float;
-  s_nodes : int;
-  s_next_seq : int;
-  s_best_open : float;
-  s_stopped : bool;
-  s_deadline_stop : bool;
-  s_infeasible_root : bool;
-  s_incumbent : Incumbent.cand option;
-  s_pc : (int * float * int * float * int) list;
-  s_prngs : (int64 * int64) array;
-  s_heap_keys : float array;
-  s_heap_nodes : node array;
+(* One run of the wave loop over a [search], restored or fresh.
+   [stopped_at_limit]/[deadline_stop] start from the persisted merge
+   stops and also absorb this run's own halts (max_nodes, deadline,
+   preemption). Those halts are artifacts of the interruption — a
+   resumed run keeps searching — so they are never persisted: that
+   would permanently poison a resumed result's status. *)
+type run = {
+  st : search;
+  mutable stopped_at_limit : bool;
+  mutable deadline_stop : bool;
+  mutable preempted : bool;
+  mutable root_unbounded : bool;
+  mutable last_ck : float;  (** clock of the last checkpoint write *)
+  mutable ck_seconds : float;  (** checkpoint write time this solve *)
 }
 
-let ck_float = Printf.sprintf "%h"
-
-let ck_b b = if b then "1" else "0"
-
-let ck_encode ~model ~options ~elapsed ~nodes ~next_seq ~best_open ~stopped
-    ~deadline_stop ~infeasible_root ~incumbent ~pc ~prngs ~queue =
+let new_search model =
   let n = Model.num_vars model in
-  let lines = ref [] in
-  let add l = lines := l :: !lines in
-  let buf = Buffer.create 256 in
-  let flush_line () =
-    let s = Buffer.contents buf in
-    Buffer.clear buf;
-    add s
-  in
-  add
-    (Printf.sprintf "dir %s"
-       (match Model.direction model with
-       | Model.Minimize -> "min"
-       | Model.Maximize -> "max"));
-  add
-    (Printf.sprintf "opts %s %s %s %d %s %s %d"
-       (match options.branching with
-       | Pseudocost -> "pc"
-       | Most_fractional -> "mf")
-       (ck_float options.gap_tolerance)
-       (ck_float options.integrality_tol)
-       options.heuristic_period (ck_b options.warm_start)
-       (match options.kernel with
-       | Simplex.Sparse_lu -> "sparse"
-       | Simplex.Dense -> "dense")
-       options.wave);
-  add (Printf.sprintf "elapsed %s" (ck_float elapsed));
-  add (Printf.sprintf "vars %d" n);
-  for v = 0 to n - 1 do
-    let hv = Model.var_of_index model v in
-    add
-      (Printf.sprintf "v %s %s %s %s"
-         (ck_float (Model.var_lb model hv))
-         (ck_float (Model.var_ub model hv))
-         (ck_float (Model.var_obj model hv))
-         (match Model.var_kind model hv with
-         | Model.Continuous -> "c"
-         | Model.Integer -> "i"
-         | Model.Binary -> "b"))
-  done;
-  add (Printf.sprintf "constrs %d" (Model.num_constrs model));
-  Model.iter_constrs model (fun _ terms sense rhs ->
-      Buffer.add_string buf "c ";
-      Buffer.add_string buf
-        (match sense with Model.Le -> "le" | Model.Ge -> "ge" | Model.Eq -> "eq");
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf (ck_float rhs);
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf (string_of_int (List.length terms));
-      List.iter
-        (fun (c, v) ->
-          Buffer.add_char buf ' ';
-          Buffer.add_string buf (ck_float c);
-          Buffer.add_char buf ' ';
-          Buffer.add_string buf (string_of_int v))
-        terms;
-      flush_line ());
-  add
-    (Printf.sprintf "state %d %d %s %s %s %s" nodes next_seq
-       (ck_float best_open) (ck_b stopped) (ck_b deadline_stop)
-       (ck_b infeasible_root));
-  (match incumbent with
-  | None -> add "inc none"
-  | Some c ->
-    Buffer.add_string buf "inc ";
-    Buffer.add_string buf (ck_float c.Incumbent.score);
-    let k1, k2 = c.Incumbent.key in
-    Buffer.add_string buf
-      (Printf.sprintf " %d %d %d" k1 k2 (Array.length c.Incumbent.x));
-    Array.iter
-      (fun x ->
-        Buffer.add_char buf ' ';
-        Buffer.add_string buf (ck_float x))
-      c.Incumbent.x;
-    flush_line ());
-  for v = 0 to n - 1 do
-    if pc.pc_down_n.(v) > 0 || pc.pc_up_n.(v) > 0 then
-      add
-        (Printf.sprintf "pc %d %s %d %s %d" v
-           (ck_float pc.pc_down.(v))
-           pc.pc_down_n.(v)
-           (ck_float pc.pc_up.(v))
-           pc.pc_up_n.(v))
-  done;
-  add (Printf.sprintf "prngs %d" (Array.length prngs));
-  Array.iteri
-    (fun w g ->
-      let s, gm = Prng.state g in
-      add (Printf.sprintf "g %d %Ld %Ld" w s gm))
-    prngs;
-  let keys, frontier = H.snapshot queue in
-  add (Printf.sprintf "heap %d" (Array.length keys));
-  Array.iteri
-    (fun i key ->
-      let nd = frontier.(i) in
-      Buffer.add_string buf "h ";
-      Buffer.add_string buf (ck_float key);
-      Buffer.add_string buf (Printf.sprintf " %d %d" nd.seq nd.depth);
-      (match nd.branched with
-      | None -> Buffer.add_string buf " -"
-      | Some (v, dir, score, frac) ->
-        Buffer.add_string buf
-          (Printf.sprintf " %d %s %s %s" v
-             (match dir with `Down -> "d" | `Up -> "u")
-             (ck_float score) (ck_float frac)));
-      (match nd.start_basis with
-      | None -> Buffer.add_string buf " -"
-      | Some b ->
-        Buffer.add_string buf (Printf.sprintf " %d" (Array.length b));
-        Array.iter
-          (fun bi ->
-            Buffer.add_char buf ' ';
-            Buffer.add_string buf (string_of_int bi))
-          b);
-      Array.iter
-        (fun x ->
-          Buffer.add_char buf ' ';
-          Buffer.add_string buf (ck_float x))
-        nd.lower;
-      Array.iter
-        (fun x ->
-          Buffer.add_char buf ' ';
-          Buffer.add_string buf (ck_float x))
-        nd.upper;
-      flush_line ())
-    keys;
-  (* the run manifest rides along verbatim, so a checkpoint identifies
-     the run (host, argv, git revision) that produced it *)
-  (match Status.manifest () with
-  | Some j -> add ("manifest " ^ Json.to_string j)
-  | None -> ());
-  List.rev !lines
-
-let ck_decode ~path body =
-  let arr = Array.of_list body in
-  (* body line [i] sits at file line [i + 2]: line 1 is the header *)
-  let fail i msg = Error.parse_error ~file:path ~line:(i + 2) msg in
-  let idx = ref 0 in
-  let peek () = if !idx < Array.length arr then Some arr.(!idx) else None in
-  let next what =
-    match peek () with
-    | Some l ->
-      incr idx;
-      (l, !idx - 1)
-    | None -> fail (Array.length arr) ("truncated checkpoint: wanted " ^ what)
-  in
-  let toks what =
-    let l, i = next what in
-    (String.split_on_char ' ' l, i)
-  in
-  let pfloat i s =
-    match float_of_string_opt s with
-    | Some f -> f
-    | None -> fail i (Printf.sprintf "bad float %S" s)
-  in
-  let pint i s =
-    match int_of_string_opt s with
-    | Some v -> v
-    | None -> fail i (Printf.sprintf "bad int %S" s)
-  in
-  let pint64 i s =
-    match Int64.of_string_opt s with
-    | Some v -> v
-    | None -> fail i (Printf.sprintf "bad int64 %S" s)
-  in
-  let pbool i s =
-    match s with
-    | "1" -> true
-    | "0" -> false
-    | _ -> fail i (Printf.sprintf "bad flag %S" s)
-  in
-  let direction =
-    match toks "dir" with
-    | [ "dir"; "min" ], _ -> Model.Minimize
-    | [ "dir"; "max" ], _ -> Model.Maximize
-    | _, i -> fail i "bad dir record"
-  in
-  let s_options =
-    match toks "opts" with
-    | [ "opts"; br; gap; itol; heur; warm; kernel; wave ], i ->
-      {
-        default_options with
-        branching =
-          (match br with
-          | "pc" -> Pseudocost
-          | "mf" -> Most_fractional
-          | _ -> fail i (Printf.sprintf "bad branching %S" br));
-        gap_tolerance = pfloat i gap;
-        integrality_tol = pfloat i itol;
-        heuristic_period = pint i heur;
-        warm_start = pbool i warm;
-        kernel =
-          (match kernel with
-          | "sparse" -> Simplex.Sparse_lu
-          | "dense" -> Simplex.Dense
-          | _ -> fail i (Printf.sprintf "bad kernel %S" kernel));
-        wave = pint i wave;
-        presolve = false;
-        deterministic = true;
-      }
-    | _, i -> fail i "bad opts record"
-  in
-  let s_elapsed =
-    match toks "elapsed" with
-    | [ "elapsed"; e ], i -> pfloat i e
-    | _, i -> fail i "bad elapsed record"
-  in
-  let n =
-    match toks "vars" with
-    | [ "vars"; n ], i -> pint i n
-    | _, i -> fail i "bad vars record"
-  in
-  let model = Model.create ~name:"resumed" direction in
-  for _ = 1 to n do
-    match toks "v" with
-    | [ "v"; lb; ub; obj; kind ], i ->
-      let kind =
-        match kind with
-        | "c" -> Model.Continuous
-        | "i" -> Model.Integer
-        | "b" -> Model.Binary
-        | _ -> fail i (Printf.sprintf "bad var kind %S" kind)
-      in
-      ignore
-        (Model.add_var model ~lb:(pfloat i lb) ~ub:(pfloat i ub)
-           ~obj:(pfloat i obj) kind)
-    | _, i -> fail i "bad v record"
-  done;
-  let m =
-    match toks "constrs" with
-    | [ "constrs"; m ], i -> pint i m
-    | _, i -> fail i "bad constrs record"
-  in
-  for _ = 1 to m do
-    match toks "c" with
-    | "c" :: sense :: rhs :: k :: rest, i ->
-      let sense =
-        match sense with
-        | "le" -> Model.Le
-        | "ge" -> Model.Ge
-        | "eq" -> Model.Eq
-        | _ -> fail i (Printf.sprintf "bad sense %S" sense)
-      in
-      let k = pint i k in
-      let rec take acc j rest =
-        if j = k then (List.rev acc, rest)
-        else
-          match rest with
-          | c :: v :: rest ->
-            take
-              ((pfloat i c, Model.var_of_index model (pint i v)) :: acc)
-              (j + 1) rest
-          | _ -> fail i "truncated constraint terms"
-      in
-      let terms, rest = take [] 0 rest in
-      if rest <> [] then fail i "trailing constraint tokens";
-      Model.add_constr model terms sense (pfloat i rhs)
-    | _, i -> fail i "bad c record"
-  done;
-  let s_nodes, s_next_seq, s_best_open, s_stopped, s_deadline_stop,
-      s_infeasible_root =
-    match toks "state" with
-    | [ "state"; nodes; seq; best; stopped; dstop; infroot ], i ->
-      ( pint i nodes,
-        pint i seq,
-        pfloat i best,
-        pbool i stopped,
-        pbool i dstop,
-        pbool i infroot )
-    | _, i -> fail i "bad state record"
-  in
-  let s_incumbent =
-    match toks "inc" with
-    | [ "inc"; "none" ], _ -> None
-    | "inc" :: score :: k1 :: k2 :: len :: rest, i ->
-      let len = pint i len in
-      if List.length rest <> len then fail i "truncated incumbent vector";
-      let x = Array.of_list (List.map (pfloat i) rest) in
-      Some
-        { Incumbent.score = pfloat i score; key = (pint i k1, pint i k2); x }
-    | _, i -> fail i "bad inc record"
-  in
-  let rec pc_rows acc =
-    match peek () with
-    | Some l when String.length l > 3 && String.sub l 0 3 = "pc " -> (
-      match toks "pc" with
-      | [ "pc"; v; d; dn; u; un ], i ->
-        pc_rows ((pint i v, pfloat i d, pint i dn, pfloat i u, pint i un) :: acc)
-      | _, i -> fail i "bad pc record")
-    | _ -> List.rev acc
-  in
-  let s_pc = pc_rows [] in
-  let nprngs =
-    match toks "prngs" with
-    | [ "prngs"; c ], i -> pint i c
-    | _, i -> fail i "bad prngs record"
-  in
-  let s_prngs =
-    Array.init nprngs (fun w ->
-        match toks "g" with
-        | [ "g"; slot; st; gm ], i ->
-          if pint i slot <> w then fail i "prng slots out of order";
-          (pint64 i st, pint64 i gm)
-        | _, i -> fail i "bad g record")
-  in
-  let hlen =
-    match toks "heap" with
-    | [ "heap"; c ], i -> pint i c
-    | _, i -> fail i "bad heap record"
-  in
-  let s_heap_keys = Array.make hlen 0.0 in
-  let dummy =
+  let bound f = Array.init n (fun v -> f model (Model.var_of_index model v)) in
+  let queue = H.create () in
+  H.push queue neg_infinity
     {
-      lower = [||];
-      upper = [||];
+      lower = bound Model.var_lb;
+      upper = bound Model.var_ub;
       depth = 0;
       seq = 0;
       branched = None;
       start_basis = None;
+    };
+  {
+    queue;
+    pc = pc_create n;
+    next_seq = 1;
+    nodes = 0;
+    best_open = neg_infinity;
+    infeasible_root = true;
+    merge_stopped = false;
+    merge_deadline = false;
+  }
+
+let start_run st =
+  {
+    st;
+    stopped_at_limit = st.merge_stopped;
+    deadline_stop = st.merge_deadline;
+    preempted = false;
+    root_unbounded = false;
+    last_ck = Clock.now ();
+    ck_seconds = 0.0;
+  }
+
+(* The fractional part recorded at branch time is x - floor(x + itol),
+   which sits in (itol, 1 - itol) for the default tolerance but can
+   approach 0 or 1 (or even leave [0, 1] entirely) when callers loosen
+   integrality_tol; dividing by it unguarded turns one degenerate
+   branch into a pseudocost that dwarfs every honest observation.
+   Clamp the denominator below by the tolerance itself. *)
+let pc_frac ctx f = Float.max f (Float.max ctx.options.integrality_tol 1e-6)
+
+(* fold one observation into a running mean *)
+let average means counts v x =
+  means.(v) <-
+    ((means.(v) *. float_of_int counts.(v)) +. x) /. float_of_int (counts.(v) + 1);
+  counts.(v) <- counts.(v) + 1
+
+let record_pseudocost ctx pc node child_score =
+  match node.branched with
+  | None -> ()
+  | Some (v, dir, parent_score, frac) -> (
+    let degradation = max 0.0 (child_score -. parent_score) in
+    match dir with
+    | `Down -> average pc.pc_down pc.pc_down_n v (degradation /. pc_frac ctx frac)
+    | `Up ->
+      average pc.pc_up pc.pc_up_n v (degradation /. pc_frac ctx (1.0 -. frac)))
+
+let branch_var ctx pc primal =
+  match ctx.options.branching with
+  | Most_fractional -> fractional_var ctx primal
+  | Pseudocost ->
+    (* product rule over estimated degradations; variables without
+       history fall back to their fractionality *)
+    let itol = ctx.options.integrality_tol in
+    let best = ref (-1) and best_score = ref neg_infinity in
+    List.iter
+      (fun v ->
+        let x = primal.(v) in
+        let frac = x -. Float.floor x in
+        let dist = abs_float (x -. Float.round x) in
+        if dist > itol then begin
+          let est_down =
+            if pc.pc_down_n.(v) > 0 then pc.pc_down.(v) *. frac else dist
+          in
+          let est_up =
+            if pc.pc_up_n.(v) > 0 then pc.pc_up.(v) *. (1.0 -. frac) else dist
+          in
+          let score = max est_down 1e-6 *. max est_up 1e-6 in
+          if score > !best_score then begin
+            best := v;
+            best_score := score
+          end
+        end)
+      ctx.int_vars;
+    if !best = -1 then None else Some !best
+
+(* Push the two children of [node] on [v]. Both differ from [node] by
+   one bound, so its relaxation's [basis] stays dual feasible for
+   them. Children get consecutive seq numbers, down before up. *)
+let branch ctx st node v ~raw ~score primal basis =
+  let x = primal.(v) in
+  let f = floor (x +. ctx.options.integrality_tol) in
+  let frac = x -. f in
+  let child_basis = Some basis in
+  let down =
+    {
+      node with
+      upper = Array.copy node.upper;
+      depth = node.depth + 1;
+      seq = st.next_seq;
+      branched = Some (v, `Down, raw, frac);
+      start_basis = child_basis;
     }
   in
-  let s_heap_nodes = Array.make hlen dummy in
-  for slot = 0 to hlen - 1 do
-    match toks "h" with
-    | "h" :: key :: seq :: depth :: rest, i ->
-      let branched, rest =
-        match rest with
-        | "-" :: rest -> (None, rest)
-        | v :: d :: score :: frac :: rest ->
-          let dir =
-            match d with
-            | "d" -> `Down
-            | "u" -> `Up
-            | _ -> fail i (Printf.sprintf "bad branch direction %S" d)
+  down.upper.(v) <- f;
+  let up =
+    {
+      node with
+      lower = Array.copy node.lower;
+      depth = node.depth + 1;
+      seq = st.next_seq + 1;
+      branched = Some (v, `Up, raw, frac);
+      start_basis = child_basis;
+    }
+  in
+  up.lower.(v) <- f +. 1.0;
+  st.next_seq <- st.next_seq + 2;
+  if down.upper.(v) >= down.lower.(v) -. 1e-9 then H.push st.queue score down;
+  if up.lower.(v) <= up.upper.(v) +. 1e-9 then H.push st.queue score up
+
+(* Fold one evaluated task into the search state. Everything
+   order-sensitive — pseudocost updates, branching decisions, child
+   seq assignment, bound pruning, chaos draws — happens here, on the
+   coordinating domain, in wave order. *)
+let merge ctx r (t : task) =
+  let st = r.st and node = t.t_node in
+  match t.t_outcome with
+  | O_pending ->
+    (* unreachable: a worker failure re-raises from Mip_pool.run before
+       the merge runs *)
+    assert false
+  | O_infeasible -> ()
+  | O_iter_limit ->
+    (* treat as unresolved: keep the parent bound, re-queueing would
+       loop, so give up on this subtree pessimistically by keeping it
+       open in the bound accounting *)
+    st.best_open <- min st.best_open t.t_bound;
+    st.merge_stopped <- true;
+    r.stopped_at_limit <- true
+  | O_deadline ->
+    (* same pessimistic accounting; the wave filler notices the expired
+       deadline on the next wave *)
+    st.best_open <- min st.best_open t.t_bound;
+    st.merge_stopped <- true;
+    st.merge_deadline <- true;
+    r.stopped_at_limit <- true;
+    r.deadline_stop <- true
+  | O_unbounded ->
+    st.infeasible_root <- false;
+    if node.depth = 0 then r.root_unbounded <- true
+  | O_optimal { raw; primal; basis } -> (
+    st.infeasible_root <- false;
+    (* NaN guard: a poisoned node objective would silently rank the
+       subtree as best-possible in the heap and corrupt every bound
+       downstream, so it is a typed numerical failure instead. Chaos
+       poisons the score here — at the merge, a deterministic point, so
+       the draw sequence is jobs-invariant — to prove the guard (and
+       the ladder above it) works. *)
+    let raw =
+      if Chaos.fire ~site:"mip.nan_cost" ~p:0.05 () then Float.nan else raw
+    in
+    if Float.is_nan raw then
+      Error.numerical ~stage:"mip.node_lp"
+        ~detail:(Printf.sprintf "NaN relaxation objective at node %d" t.t_num);
+    record_pseudocost ctx st.pc node raw;
+    let score = sharpen ctx raw in
+    if within_gap ctx score then begin
+      Metrics.incr (Lazy.force m_prunes);
+      if Trace.enabled ctx.sink then
+        Trace.bound_pruned ctx.sink ~solver:"mip" ~node:t.t_num
+          ~bound:(of_score ctx score)
+          ~incumbent:(of_score ctx (inc_score ctx))
+    end
+    else
+      match branch_var ctx st.pc primal with
+      | None ->
+        (* integral: the candidate was already offered worker-side
+           under key (seq, 0) *)
+        ()
+      | Some v -> branch ctx st node v ~raw ~score primal basis)
+
+(* ---- the coordinator ----------------------------------------------- *)
+
+(* live bound/gap watermark for /statusz: [score] is the relaxation
+   bound of the node being expanded — in best-first wave order the
+   global bound. Gauges are last-writer-wins, which is all a live view
+   needs. *)
+let publish_bound_watermark ctx score =
+  let b = of_score ctx score in
+  Metrics.set (Lazy.force m_g_bound) b;
+  let inc = inc_score ctx in
+  if Float.is_finite inc then begin
+    let i = of_score ctx inc in
+    Metrics.set (Lazy.force m_g_gap)
+      (Float.abs (i -. b) /. Float.max 1e-9 (Float.abs i))
+  end
+
+(* Pop up to [wave] nodes off the best-bound heap, numbering them,
+   emitting bb_node events and deciding stop conditions — all in
+   heap order. Returns the wave and whether the search must halt after
+   it. *)
+let next_wave ctx r =
+  let options = ctx.options and st = r.st in
+  let rec fill count rev_tasks =
+    let stop halt = (List.rev rev_tasks, halt) in
+    if count >= max 1 options.wave then stop false
+    else
+      match H.min st.queue with
+      | None -> stop false
+      | Some (parent_bound, node) ->
+        if st.nodes >= options.max_nodes || Deadline.expired ctx.deadline
+        then begin
+          (* peek, don't pop: the node stays on the heap so the final
+             checkpoint and the post-loop drain both see the complete
+             frontier *)
+          if Deadline.expired ctx.deadline then r.deadline_stop <- true;
+          r.stopped_at_limit <- true;
+          stop true
+        end
+        else if within_gap ctx parent_bound then begin
+          (* best-first: every remaining node is at least as bad *)
+          ignore (H.pop_min st.queue);
+          if Trace.enabled ctx.sink then
+            Trace.bound_pruned ctx.sink ~solver:"mip" ~node:st.nodes
+              ~bound:(of_score ctx parent_bound)
+              ~incumbent:(of_score ctx (inc_score ctx));
+          st.best_open <- min st.best_open parent_bound;
+          stop true
+        end
+        else begin
+          ignore (H.pop_min st.queue);
+          st.nodes <- st.nodes + 1;
+          Metrics.incr (Lazy.force m_nodes);
+          publish_bound_watermark ctx parent_bound;
+          if Trace.enabled ctx.sink then begin
+            let w = Sampler.decide Sampler.Bb_node in
+            if w > 0 then
+              Trace.bb_node ctx.sink ~sampled_of:w ~solver:"mip"
+                ~node:st.nodes ~depth:node.depth
+                ~bound:(of_score ctx parent_bound) ()
+          end;
+          let t_dive =
+            options.heuristic_period > 0
+            && (st.nodes = 1 || st.nodes mod options.heuristic_period = 0)
           in
-          (Some (pint i v, dir, pfloat i score, pfloat i frac), rest)
-        | _ -> fail i "truncated node record"
-      in
-      let start_basis, rest =
-        match rest with
-        | "-" :: rest -> (None, rest)
-        | sz :: rest ->
-          let sz = pint i sz in
-          let b = Array.make sz 0 in
-          let rec take j rest =
-            if j = sz then rest
-            else
-              match rest with
-              | x :: rest ->
-                b.(j) <- pint i x;
-                take (j + 1) rest
-              | [] -> fail i "truncated basis"
-          in
-          (Some b, take 0 rest)
-        | [] -> fail i "truncated node record"
-      in
-      let floats count what rest =
-        let a = Array.make count 0.0 in
-        let rec take j rest =
-          if j = count then rest
-          else
-            match rest with
-            | x :: rest ->
-              a.(j) <- pfloat i x;
-              take (j + 1) rest
-            | [] -> fail i ("truncated " ^ what)
-        in
-        (a, take 0 rest)
-      in
-      let lower, rest = floats n "node lower bounds" rest in
-      let upper, rest = floats n "node upper bounds" rest in
-      if rest <> [] then fail i "trailing node tokens";
-      s_heap_keys.(slot) <- pfloat i key;
-      s_heap_nodes.(slot) <-
-        {
-          lower;
-          upper;
-          depth = pint i depth;
-          seq = pint i seq;
-          branched;
-          start_basis;
-        }
-    | _, i -> fail i "bad h record"
-  done;
-  (* optional trailing manifest line: informational, not restored *)
-  (match peek () with
-  | Some l when String.length l >= 9 && String.sub l 0 9 = "manifest " ->
-    incr idx
-  | _ -> ());
-  if !idx <> Array.length arr then
-    fail !idx "trailing records after checkpoint body";
-  {
-    s_path = path;
-    s_options;
-    s_model = model;
-    s_elapsed;
-    s_nodes;
-    s_next_seq;
-    s_best_open;
-    s_stopped;
-    s_deadline_stop;
-    s_infeasible_root;
-    s_incumbent;
-    s_pc;
-    s_prngs;
-    s_heap_keys;
-    s_heap_nodes;
-  }
+          fill (count + 1)
+            ({
+               t_node = node;
+               t_bound = parent_bound;
+               t_num = st.nodes;
+               t_dive;
+               t_outcome = O_pending;
+             }
+            :: rev_tasks)
+        end
+  in
+  fill 0 []
 
 (* chaos site [process.kill]: a self-delivered SIGKILL right after a
    durable checkpoint write — the harshest crash the checkpoint layer
@@ -974,10 +579,127 @@ let process_kill_site () =
     if fire then Unix.kill (Unix.getpid ()) Sys.sigkill
   end
 
+(* Checkpoint writes happen at a wave barrier, on the coordinating
+   domain, with no task in flight — so the heap, the pseudocosts and
+   [next_seq] are a consistent snapshot of the search. The run's own
+   stop flags stay off disk; see [run]. *)
+let write_checkpoint ctx r =
+  match ctx.options.checkpoint with
+  | None -> ()
+  | Some path ->
+    let t0 = Clock.now () in
+    Mip_codec.write ~path ~model:ctx.model ~options:ctx.options
+      ~elapsed:(ctx.elapsed_base +. Deadline.elapsed ctx.deadline)
+      ~incumbent:(Incumbent.get ctx.incumbent)
+      ~prngs:ctx.prngs r.st;
+    let dt = Clock.now () -. t0 in
+    r.ck_seconds <- r.ck_seconds +. dt;
+    Metrics.incr (Lazy.force m_ck_writes);
+    Metrics.set (Lazy.force m_g_ck_clock) (Clock.now ());
+    Metrics.set (Lazy.force m_g_ck_seconds) r.ck_seconds;
+    if Trace.enabled ctx.sink then
+      Trace.checkpoint_write ctx.sink ~path ~nodes:r.st.nodes
+        ~frontier:(H.size r.st.queue) ~seconds:dt;
+    r.last_ck <- Clock.now ();
+    process_kill_site ()
+
+(* The wave loop: pop a wave, evaluate it on the pool, barrier, merge
+   the outcomes in wave order. Workers only solve LPs and offer
+   candidates to the exact-ordered incumbent, so node counts, the
+   incumbent, objective, bound and gap are identical for every [jobs]
+   value. *)
+let rec search_loop ctx r pool =
+  if Preempt.requested () then begin
+    (* cooperative preemption lands exactly like a node-budget stop:
+       the incumbent and the certified bound remain valid, and the
+       final checkpoint captures the frontier *)
+    r.preempted <- true;
+    r.stopped_at_limit <- true;
+    if Trace.enabled ctx.sink then
+      Trace.preempt_stop ctx.sink ~phase:"mip" ~nodes:r.st.nodes;
+    Flightrec.trigger ~reason:"preempt"
+  end
+  else
+    match next_wave ctx r with
+    | [], false -> ()
+    | tasks, halt ->
+      Mip_pool.run pool tasks;
+      List.iter (merge ctx r) tasks;
+      if not (halt || r.root_unbounded) then begin
+        if
+          ctx.options.checkpoint <> None
+          && Clock.now () -. r.last_ck >= ctx.options.checkpoint_every
+        then write_checkpoint ctx r;
+        search_loop ctx r pool
+      end
+
+(* interrupted (budget, deadline or preemption): one final checkpoint
+   before the heap is drained, so a resume restarts from exactly this
+   barrier; then fold every still-queued node into the bound *)
+let close_interrupted ctx r =
+  if r.stopped_at_limit then begin
+    write_checkpoint ctx r;
+    let rec drain () =
+      match H.pop_min r.st.queue with
+      | None -> ()
+      | Some (b, _) ->
+        r.st.best_open <- min r.st.best_open b;
+        drain ()
+    in
+    drain ()
+  end
+
+let finish ctx r =
+  let inc = Incumbent.get ctx.incumbent in
+  let inc_score = inc_score ctx in
+  let bound_score =
+    if r.stopped_at_limit || r.st.best_open > neg_infinity then
+      min r.st.best_open inc_score
+    else inc_score
+  in
+  let gap =
+    if inc_score = infinity || bound_score = neg_infinity then infinity
+    else (inc_score -. bound_score) /. max 1.0 (abs_float inc_score)
+  in
+  let status =
+    if r.root_unbounded then Unbounded
+    else
+      match inc with
+      | Some _ ->
+        if (not r.stopped_at_limit) || gap <= ctx.options.gap_tolerance then
+          Optimal
+        else Feasible
+      | None -> if r.stopped_at_limit then No_solution else Infeasible
+  in
+  if r.deadline_stop then begin
+    let elapsed = Deadline.elapsed ctx.deadline in
+    if Trace.enabled ctx.sink then
+      Trace.deadline_hit ctx.sink ~phase:"mip" ~elapsed ~budget:ctx.budget;
+    if ctx.options.log then
+      Printf.eprintf "[mip] deadline hit after %.3fs (budget %.3fs)\n%!" elapsed
+        ctx.budget
+  end;
+  {
+    status;
+    objective =
+      (match inc with Some c -> of_score ctx c.Incumbent.score | None -> nan);
+    solution = (match inc with Some c -> Some c.Incumbent.x | None -> None);
+    bound = of_score ctx bound_score;
+    nodes = r.st.nodes;
+    gap = (if status = Optimal then 0.0 else gap);
+    deadline_hit = r.deadline_stop;
+    preempted = r.preempted;
+  }
+
+let is_integer model v =
+  match Model.var_kind model (Model.var_of_index model v) with
+  | Model.Integer | Model.Binary -> true
+  | Model.Continuous -> false
+
 (* The one search routine behind both [solve] and [resume]: [restore]
-   carries a decoded checkpoint, and every piece of search state below
+   carries a decoded checkpoint, and every piece of search state
    initializes from it when present. *)
-let solve_gen ~options ~(restore : saved option) model =
+let solve_gen ~options ~(restore : Mip_codec.saved option) model =
   Monpos_obs.Span.run "mip.solve" @@ fun () ->
   Status.with_phase "mip.solve" @@ fun () ->
   let sink = Trace.current () in
@@ -1009,7 +731,6 @@ let solve_gen ~options ~(restore : saved option) model =
   in
   let budget = Float.max 0.001 (budget -. elapsed_base) in
   let deadline = Deadline.of_budget budget in
-  let deadline_stop = ref false in
   (* Root presolve: every reduction is exact and preserves variable
      indices, so the search below can pretend the reduced model is the
      original. Nodes inherit the tightened bounds. *)
@@ -1020,7 +741,6 @@ let solve_gen ~options ~(restore : saved option) model =
     end
     else (model, false)
   in
-  let n = Model.num_vars model in
   if presolved_infeasible then
     {
       status = Infeasible;
@@ -1033,896 +753,77 @@ let solve_gen ~options ~(restore : saved option) model =
       preempted = false;
     }
   else begin
-  let problem = Simplex.of_model model in
-  let lp_options =
-    { Simplex.default_options with Simplex.kernel = options.kernel }
-  in
-  let to_score obj = if minimize then obj else -.obj in
-  let of_score s = if minimize then s else -.s in
-  let int_vars =
-    List.filter
-      (fun v ->
-        match Model.var_kind model (Model.var_of_index model v) with
-        | Model.Integer | Model.Binary -> true
-        | Model.Continuous -> false)
-      (List.init n (fun i -> i))
-  in
-  let itol = options.integrality_tol in
-  (* When every objective coefficient sits on integer variables and is
-     itself integral, any LP bound can be rounded up to the next
-     integer — a large amount of extra pruning for pure cardinality
-     objectives like the paper's device counts. *)
-  let integral_objective =
-    List.for_all
-      (fun v ->
-        let c = Model.var_obj model (Model.var_of_index model v) in
-        let is_int_var =
-          match Model.var_kind model (Model.var_of_index model v) with
-          | Model.Integer | Model.Binary -> true
-          | Model.Continuous -> false
-        in
-        if is_int_var then Float.is_integer c else c = 0.0)
-      (List.init n (fun i -> i))
-  in
-  let sharpen score =
-    if integral_objective && score > neg_infinity && score < infinity then
-      Float.round (Float.ceil (score -. 1e-6))
-    else score
-  in
-  let fractional_var primal =
-    (* most fractional integer variable, or None if integral *)
-    let best = ref (-1) and best_dist = ref 0.0 in
-    List.iter
-      (fun v ->
-        let x = primal.(v) in
-        let dist = abs_float (x -. Float.round x) in
-        if dist > itol && dist > !best_dist then begin
-          best := v;
-          best_dist := dist
-        end)
-      int_vars;
-    if !best = -1 then None else Some !best
-  in
-  (* The fractional part recorded at branch time is x - floor(x + itol),
-     which sits in (itol, 1 - itol) for the default tolerance but can
-     approach 0 or 1 (or even leave [0, 1] entirely) when callers loosen
-     integrality_tol; dividing by it unguarded turns one degenerate
-     branch into a pseudocost that dwarfs every honest observation.
-     Clamp the denominator below by the tolerance itself. *)
-  let pc_frac f = Float.max f (Float.max itol 1e-6) in
-  let record_pseudocost pc node child_score =
-    match node.branched with
-    | None -> ()
-    | Some (v, dir, parent_score, frac) ->
-      let degradation = max 0.0 (child_score -. parent_score) in
-      (match dir with
-      | `Down ->
-        let per_unit = degradation /. pc_frac frac in
-        pc.pc_down.(v) <-
-          ((pc.pc_down.(v) *. float_of_int pc.pc_down_n.(v)) +. per_unit)
-          /. float_of_int (pc.pc_down_n.(v) + 1);
-        pc.pc_down_n.(v) <- pc.pc_down_n.(v) + 1
-      | `Up ->
-        let per_unit = degradation /. pc_frac (1.0 -. frac) in
-        pc.pc_up.(v) <-
-          ((pc.pc_up.(v) *. float_of_int pc.pc_up_n.(v)) +. per_unit)
-          /. float_of_int (pc.pc_up_n.(v) + 1);
-        pc.pc_up_n.(v) <- pc.pc_up_n.(v) + 1)
-  in
-  let branch_var pc primal =
-    match options.branching with
-    | Most_fractional -> fractional_var primal
-    | Pseudocost ->
-      (* product rule over estimated degradations; variables without
-         history fall back to their fractionality *)
-      let best = ref (-1) and best_score = ref neg_infinity in
-      List.iter
-        (fun v ->
-          let x = primal.(v) in
-          let frac = x -. Float.floor x in
-          let dist = abs_float (x -. Float.round x) in
-          if dist > itol then begin
-            let est_down =
-              if pc.pc_down_n.(v) > 0 then pc.pc_down.(v) *. frac else dist
-            in
-            let est_up =
-              if pc.pc_up_n.(v) > 0 then pc.pc_up.(v) *. (1.0 -. frac)
-              else dist
-            in
-            let score = max est_down 1e-6 *. max est_up 1e-6 in
-            if score > !best_score then begin
-              best := v;
-              best_score := score
-            end
-          end)
-        int_vars;
-      if !best = -1 then None else Some !best
-  in
-  let incumbent = Incumbent.create () in
-  (* a restored incumbent re-enters the lattice silently: it was
-     already counted, traced and logged by the run that found it *)
-  let () =
-    match restore with
-    | Some { s_incumbent = Some c; _ } -> ignore (Incumbent.publish incumbent c)
-    | _ -> ()
-  in
-  let inc_score_now () =
-    match Incumbent.get incumbent with
-    | Some c -> c.Incumbent.score
-    | None -> infinity
-  in
-  (* live bound/gap watermark for /statusz: [score] is the relaxation
-     bound of the node being expanded — in best-first wave order the
-     global bound, in async mode the expanding worker's local view.
-     Gauges are last-writer-wins, which is all a live view needs. *)
-  let publish_bound_watermark score =
-    let b = of_score score in
-    Metrics.set (Lazy.force m_g_bound) b;
-    let inc = inc_score_now () in
-    if Float.is_finite inc then begin
-      let i = of_score inc in
-      Metrics.set (Lazy.force m_g_gap)
-        (Float.abs (i -. b) /. Float.max 1e-9 (Float.abs i))
-    end
-  in
-  (* could a candidate at [score] with minimal key [key] (or any
-     candidate from a subtree bounded below by that pair) still become
-     the final incumbent? The order is exact, so "no" is a proof and
-     the work can be dropped on any domain without changing the
-     result. *)
-  let worth ~key score =
-    match Incumbent.get incumbent with
-    | None -> true
-    | Some c ->
-      score < c.Incumbent.score
-      || (score = c.Incumbent.score && key < c.Incumbent.key)
-  in
-  let publish_candidate ~key primal score =
-    if worth ~key score then begin
-      (* snap integers exactly before the feasibility re-check *)
-      let snapped = Array.copy primal in
-      List.iter (fun v -> snapped.(v) <- Float.round snapped.(v)) int_vars;
-      if Model.value_feasible ~tol:1e-6 model snapped then begin
-        let c = { Incumbent.score; key; x = snapped } in
-        if Incumbent.publish incumbent c then begin
-          Metrics.incr (Lazy.force m_incumbents);
-          Metrics.set (Lazy.force m_g_incumbent) (of_score score);
-          if Trace.enabled sink then
-            Trace.incumbent sink ~solver:"mip" ~node:(fst key)
-              ~objective:(of_score score);
-          if options.log then
-            Printf.eprintf "[mip] incumbent %.6f\n%!" (of_score score)
-        end
-      end
-    end
-  in
-  (* prune test mirroring the serial solver: a (sharpened) score at or
-     above incumbent - gap_tolerance*(1+|incumbent|) cannot improve
-     the answer by more than the accepted gap. False while no
-     incumbent exists. *)
-  let within_gap_of_incumbent score =
-    match Incumbent.get incumbent with
-    | None -> false
-    | Some c ->
-      score
-      >= c.Incumbent.score
-         -. (options.gap_tolerance *. (1.0 +. abs_float c.Incumbent.score))
-  in
-  (* LP diving: repeatedly fix the most fractional integer variable to
-     its rounded value (retrying the opposite value if that kills
-     feasibility) until the LP relaxation comes out integral. Much more
-     reliable than one-shot rounding on covering-type programs, where
-     rounding fractional openings down is almost always infeasible.
-     Runs entirely on the domain that owns the node; the candidate is
-     published under key (node seq, 1) so the deterministic incumbent
-     order covers it. *)
-  let diving_heuristic ~seq node primal0 basis0 =
-    let lower = Array.copy node.lower and upper = Array.copy node.upper in
-    let warm basis = if options.warm_start then Some basis else None in
-    let rec dive primal basis fuel =
-      if fuel >= 0 then
-        match fractional_var primal with
-        | None ->
-          (* integral: re-solve once to get the continuous completion *)
-          let sol =
-            Simplex.solve ~lower ~upper ?basis:(warm basis) ~deadline
-              ~options:lp_options problem
-          in
-          if sol.Simplex.status = Simplex.Optimal then
-            publish_candidate ~key:(seq, 1) sol.Simplex.primal
-              (to_score sol.Simplex.objective)
-        | Some v ->
-          let try_fix value =
-            let saved_l = lower.(v) and saved_u = upper.(v) in
-            lower.(v) <- value;
-            upper.(v) <- value;
-            let sol =
-              Simplex.solve ~lower ~upper ?basis:(warm basis) ~deadline
-                ~options:lp_options problem
-            in
-            if sol.Simplex.status = Simplex.Optimal then Some sol
-            else begin
-              lower.(v) <- saved_l;
-              upper.(v) <- saved_u;
-              None
-            end
-          in
-          let rounded = Float.round primal.(v) in
-          let rounded = max node.lower.(v) (min node.upper.(v) rounded) in
-          let other =
-            if rounded +. 1.0 <= upper.(v) +. 1e-9 then rounded +. 1.0
-            else rounded -. 1.0
-          in
-          (match try_fix rounded with
-          | Some sol -> dive sol.Simplex.primal sol.Simplex.basis (fuel - 1)
-          | None -> (
-            match try_fix other with
-            | Some sol -> dive sol.Simplex.primal sol.Simplex.basis (fuel - 1)
-            | None -> ()))
+    let problem = Simplex.of_model model in
+    let vars = List.init (Model.num_vars model) Fun.id in
+    let jobs = resolved_jobs options in
+    let ctx =
+      {
+        options;
+        model;
+        problem;
+        lp_options =
+          { Simplex.default_options with Simplex.kernel = options.kernel };
+        deadline;
+        budget;
+        elapsed_base;
+        sink;
+        minimize;
+        int_vars = List.filter (is_integer model) vars;
+        integral_objective =
+          List.for_all
+            (fun v ->
+              let c = Model.var_obj model (Model.var_of_index model v) in
+              if is_integer model v then Float.is_integer c else c = 0.0)
+            vars;
+        incumbent = Incumbent.create ();
+        (* steal-victim sweep order comes from per-worker split
+           streams: deterministic to construct, irrelevant to results
+           (stealing only moves a node between domains). Restored
+           positions keep the streams where the crashed run left them;
+           on a jobs mismatch fresh streams are equally valid. *)
+        prngs =
+          (match restore with
+          | Some s when Array.length s.s_prngs = jobs ->
+            Array.map Prng.of_state s.s_prngs
+          | _ ->
+            let base = Prng.create 0x6d6f6e50 in
+            Array.init jobs (fun _ -> Prng.split base));
+      }
     in
-    dive primal0 basis0 (List.length int_vars)
-  in
-  let jobs = resolved_jobs options in
-  let wave_size = max 1 options.wave in
-  (* steal-victim sweep order comes from per-worker split streams:
-     deterministic to construct, irrelevant to results (stealing only
-     moves a node between domains) *)
-  let worker_prngs =
-    (* restored positions keep the steal streams where the crashed run
-       left them; on a jobs mismatch fresh streams are equally valid —
-       steal order never affects results *)
-    match restore with
-    | Some s when Array.length s.s_prngs = jobs ->
-      Array.map Prng.of_state s.s_prngs
-    | _ ->
-      let base = Prng.create 0x6d6f6e50 in
-      Array.init jobs (fun _ -> Prng.split base)
-  in
-  let root =
-    {
-      lower =
-        Array.init n (fun v -> Model.var_lb model (Model.var_of_index model v));
-      upper =
-        Array.init n (fun v -> Model.var_ub model (Model.var_of_index model v));
-      depth = 0;
-      seq = 0;
-      branched = None;
-      start_basis = None;
-    }
-  in
-  let nodes = ref (match restore with Some s -> s.s_nodes | None -> 0) in
-  let best_open_bound =
-    ref (match restore with Some s -> s.s_best_open | None -> neg_infinity)
-  in
-  let root_unbounded = ref false in
-  let infeasible_root =
-    ref (match restore with Some s -> s.s_infeasible_root | None -> true)
-  in
-  (* Two tiers of stop flags. [merge_*] is what checkpoints persist:
-     stops observed at merges (node iteration limits, in-flight
-     deadline hits) are genuine search state that must survive a
-     resume. A halt caused by this run's own max_nodes cut, deadline
-     or preemption is an artifact of the interruption — the resumed
-     run keeps searching — so it is absorbed only by the outer
-     [stopped_at_limit]/[deadline_stop] flags that drive this run's
-     result. Persisting the outer flags would permanently poison a
-     resumed result's status. *)
-  let merge_stopped =
-    ref (match restore with Some s -> s.s_stopped | None -> false)
-  in
-  let merge_deadline =
-    ref (match restore with Some s -> s.s_deadline_stop | None -> false)
-  in
-  let stopped_at_limit = ref !merge_stopped in
-  let () = if !merge_deadline then deadline_stop := true in
-  let preempted = ref false in
-
-  (* -------------- deterministic wave scheduler -------------------
-
-     The coordinator repeats: pop up to [wave] nodes from the
-     best-bound heap (assigning node numbers, emitting bb_node events
-     and deciding stop conditions — all heap-order-deterministic),
-     dispatch them to the worker deques, barrier, then merge the LP
-     outcomes in wave order. Everything order-sensitive — pseudocost
-     updates, branching decisions, child seq assignment, bound
-     pruning, chaos draws — happens at the merge, on this domain, in
-     wave order; workers only solve LPs and offer candidates to the
-     exact-ordered incumbent. Node counts, the incumbent, objective,
-     bound and gap are therefore identical for every [jobs] value. *)
-  let solve_deterministic () =
-    let queue = H.create () in
-    let next_seq = ref 1 in
-    let pc = pc_create n in
-    (match restore with
-    | Some s ->
-      (* verbatim internal arrays: pop order among equal keys is part
-         of the determinism contract (see Heap.snapshot) *)
-      H.restore queue s.s_heap_keys s.s_heap_nodes;
-      next_seq := s.s_next_seq;
-      List.iter
-        (fun (v, d, dn, u, un) ->
-          if v >= 0 && v < n then begin
-            pc.pc_down.(v) <- d;
-            pc.pc_down_n.(v) <- dn;
-            pc.pc_up.(v) <- u;
-            pc.pc_up_n.(v) <- un
-          end)
-        s.s_pc;
-      if Trace.enabled sink then
-        Trace.checkpoint_resume sink ~path:s.s_path ~nodes:s.s_nodes
-          ~frontier:(H.size queue)
-    | None -> H.push queue neg_infinity root);
-    let process_task (t : task) =
-      (* Scoped chaos is suppressed during node processing: a fault
-         injected into one node LP (say a singular warm basis) is
-         recovered to the same optimum but possibly a different basis
-         and primal, and which domain solves which node is timing-
-         dependent — letting it fire here would break jobs-invariance.
-         Chaos still hits the deterministic coordinator points
-         (deadline compression at entry, NaN poisoning at merge) and
-         every LP solve outside the parallel section. *)
-      Chaos.suppress @@ fun () ->
-      let node = t.t_node in
-      let sol =
-        Simplex.solve ~lower:node.lower ~upper:node.upper
-          ?basis:(if options.warm_start then node.start_basis else None)
-          ~deadline ~options:lp_options problem
-      in
-      match sol.Simplex.status with
-      | Simplex.Infeasible -> t.t_outcome <- O_infeasible
-      | Simplex.Iteration_limit -> t.t_outcome <- O_iter_limit
-      | Simplex.Deadline_reached -> t.t_outcome <- O_deadline
-      | Simplex.Unbounded -> t.t_outcome <- O_unbounded
-      | Simplex.Optimal ->
-        let raw = to_score sol.Simplex.objective in
-        (match fractional_var sol.Simplex.primal with
-        | None ->
-          publish_candidate ~key:(node.seq, 0) sol.Simplex.primal (sharpen raw)
-        | Some _ ->
-          (* skipping a provably-losing dive is result-invariant (see
-             Incumbent); (node.seq, 1) bounds every candidate the dive
-             could offer from below *)
-          if t.t_dive && worth ~key:(node.seq, 1) raw then
-            diving_heuristic ~seq:node.seq node sol.Simplex.primal
-              sol.Simplex.basis);
-        t.t_outcome <-
-          O_optimal
-            { raw; primal = sol.Simplex.primal; basis = sol.Simplex.basis }
-    in
-    let inline_nodes = lazy (m_nodes_w 0) in
-    let pool =
-      lazy
-        (create_pool ~jobs ~prngs:worker_prngs
-           ~process:(fun _w t -> process_task t)
-           ~sink)
-    in
-    let process_inline t =
-      process_task t;
-      if jobs > 1 then Metrics.incr (Lazy.force inline_nodes)
-    in
-    (* singleton waves (the root above all) run inline on this domain:
-       trivial solves never pay a spawn, and the root LP forces every
-       kernel-internal lazy before a worker domain can race it *)
-    let run_tasks = function
-      | [] -> ()
-      | [ t ] -> process_inline t
-      | ts when jobs = 1 -> List.iter process_inline ts
-      | ts -> run_wave (Lazy.force pool) worker_prngs.(0) ts
-    in
-    let searching = ref true in
-    let merge (t : task) =
-      let node = t.t_node in
-      match t.t_outcome with
-      | O_pending ->
-        (* unreachable: a worker failure re-raises from run_wave
-           before the merge runs *)
-        assert false
-      | O_infeasible -> ()
-      | O_iter_limit ->
-        (* treat as unresolved: keep the parent bound, re-queueing
-           would loop, so give up on this subtree pessimistically by
-           keeping it open in the bound accounting *)
-        best_open_bound := min !best_open_bound t.t_bound;
-        merge_stopped := true;
-        stopped_at_limit := true
-      | O_deadline ->
-        (* same pessimistic accounting; the collection loop notices
-           the expired deadline on the next wave *)
-        best_open_bound := min !best_open_bound t.t_bound;
-        merge_stopped := true;
-        merge_deadline := true;
-        stopped_at_limit := true;
-        deadline_stop := true
-      | O_unbounded ->
-        infeasible_root := false;
-        if node.depth = 0 then begin
-          root_unbounded := true;
-          searching := false
-        end
-      | O_optimal { raw; primal; basis } ->
-        infeasible_root := false;
-        (* NaN guard: a poisoned node objective would silently rank
-           the subtree as best-possible in the heap and corrupt every
-           bound downstream, so it is a typed numerical failure
-           instead. Chaos poisons the score here — at the merge, a
-           deterministic point, so the draw sequence is jobs-invariant
-           — to prove the guard (and the ladder above it) works. *)
-        let raw =
-          if Chaos.fire ~site:"mip.nan_cost" ~p:0.05 () then Float.nan else raw
-        in
-        if Float.is_nan raw then
-          Error.numerical ~stage:"mip.node_lp"
-            ~detail:
-              (Printf.sprintf "NaN relaxation objective at node %d" t.t_num);
-        record_pseudocost pc node raw;
-        let score = sharpen raw in
-        if within_gap_of_incumbent score then begin
-          Metrics.incr (Lazy.force m_prunes);
-          if Trace.enabled sink then
-            Trace.bound_pruned sink ~solver:"mip" ~node:t.t_num
-              ~bound:(of_score score)
-              ~incumbent:(of_score (inc_score_now ()))
-        end
-        else (
-          match branch_var pc primal with
-          | None ->
-            (* integral: the candidate was already offered worker-side
-               under key (seq, 0) *)
-            ()
-          | Some v ->
-            let x = primal.(v) in
-            let f = floor (x +. itol) in
-            let frac = x -. f in
-            (* both children differ from this node by one bound, so
-               this relaxation's basis stays dual feasible for them *)
-            let child_basis = Some basis in
-            let down =
-              {
-                node with
-                upper = Array.copy node.upper;
-                depth = node.depth + 1;
-                seq = !next_seq;
-                branched = Some (v, `Down, raw, frac);
-                start_basis = child_basis;
-              }
-            in
-            down.upper.(v) <- f;
-            let up =
-              {
-                node with
-                lower = Array.copy node.lower;
-                depth = node.depth + 1;
-                seq = !next_seq + 1;
-                branched = Some (v, `Up, raw, frac);
-                start_basis = child_basis;
-              }
-            in
-            up.lower.(v) <- f +. 1.0;
-            next_seq := !next_seq + 2;
-            if down.upper.(v) >= down.lower.(v) -. 1e-9 then
-              H.push queue score down;
-            if up.lower.(v) <= up.upper.(v) +. 1e-9 then H.push queue score up)
-    in
-    (* Checkpoint writes happen here — at a wave barrier, on the
-       coordinating domain, with no task in flight — so the heap, the
-       pseudocosts and [next_seq] are a consistent snapshot of the
-       search. [merge_*] (not the outer stop flags) are what goes to
-       disk; see their definition above. *)
-    let last_ck = ref (Clock.now ()) in
-    let ck_seconds = ref 0.0 in
-    let write_checkpoint () =
-      match options.checkpoint with
-      | None -> ()
-      | Some path ->
-        let t0 = Clock.now () in
-        let lines =
-          ck_encode ~model ~options
-            ~elapsed:(elapsed_base +. Deadline.elapsed deadline)
-            ~nodes:!nodes ~next_seq:!next_seq ~best_open:!best_open_bound
-            ~stopped:!merge_stopped ~deadline_stop:!merge_deadline
-            ~infeasible_root:!infeasible_root
-            ~incumbent:(Incumbent.get incumbent)
-            ~pc ~prngs:worker_prngs ~queue
-        in
-        Ckpt.write ~path ~magic:ck_magic ~version:ck_version lines;
-        let dt = Clock.now () -. t0 in
-        ck_seconds := !ck_seconds +. dt;
-        Metrics.incr (Lazy.force m_ck_writes);
-        Metrics.set (Lazy.force m_g_ck_clock) (Clock.now ());
-        Metrics.set (Lazy.force m_g_ck_seconds) !ck_seconds;
+    let st =
+      match restore with
+      | Some s ->
+        (* a restored incumbent re-enters the lattice silently: it was
+           already counted, traced and logged by the run that found it *)
+        Option.iter
+          (fun c -> ignore (Incumbent.publish ctx.incumbent c))
+          s.s_incumbent;
         if Trace.enabled sink then
-          Trace.checkpoint_write sink ~path ~nodes:!nodes
-            ~frontier:(H.size queue) ~seconds:dt;
-        last_ck := Clock.now ();
-        process_kill_site ()
+          Trace.checkpoint_resume sink ~path:s.s_path ~nodes:s.s_search.nodes
+            ~frontier:(H.size s.s_search.queue);
+        s.s_search
+      | None -> new_search model
+    in
+    let r = start_run st in
+    let pool =
+      Mip_pool.create ~jobs ~prngs:ctx.prngs ~process:(evaluate ctx) ~sink
     in
     Fun.protect
-      ~finally:(fun () -> if Lazy.is_val pool then shutdown (Lazy.force pool))
-    @@ fun () ->
-    while !searching do
-      if Preempt.requested () then begin
-        (* cooperative preemption lands exactly like a node-budget
-           stop: the incumbent and the certified bound remain valid,
-           and the final checkpoint below captures the frontier *)
-        preempted := true;
-        stopped_at_limit := true;
-        searching := false;
-        if Trace.enabled sink then
-          Trace.preempt_stop sink ~phase:"mip" ~nodes:!nodes;
-        Flightrec.trigger ~reason:"preempt"
-      end
-      else begin
-        let halt = ref false in
-        let rev_tasks = ref [] in
-        let count = ref 0 in
-        let filling = ref true in
-        while !filling && !count < wave_size do
-          match H.min queue with
-          | None -> filling := false
-          | Some (parent_bound, node) ->
-            if !nodes >= options.max_nodes || Deadline.expired deadline
-            then begin
-              (* peek, don't pop: the node stays on the heap so the
-                 final checkpoint and the post-loop drain both see the
-                 complete frontier *)
-              if Deadline.expired deadline then deadline_stop := true;
-              stopped_at_limit := true;
-              halt := true;
-              filling := false
-            end
-            else if within_gap_of_incumbent parent_bound then begin
-              (* best-first: every remaining node is at least as bad *)
-              ignore (H.pop_min queue);
-              if Trace.enabled sink then
-                Trace.bound_pruned sink ~solver:"mip" ~node:!nodes
-                  ~bound:(of_score parent_bound)
-                  ~incumbent:(of_score (inc_score_now ()));
-              best_open_bound := min !best_open_bound parent_bound;
-              halt := true;
-              filling := false
-            end
-            else begin
-              ignore (H.pop_min queue);
-              incr nodes;
-              incr count;
-              Metrics.incr (Lazy.force m_nodes);
-              publish_bound_watermark parent_bound;
-              if Trace.enabled sink then begin
-                let w = Sampler.decide Sampler.Bb_node in
-                if w > 0 then
-                  Trace.bb_node sink ~sampled_of:w ~solver:"mip" ~node:!nodes
-                    ~depth:node.depth ~bound:(of_score parent_bound) ()
-              end;
-              let t_dive =
-                options.heuristic_period > 0
-                && (!nodes = 1 || !nodes mod options.heuristic_period = 0)
-              in
-              rev_tasks :=
-                {
-                  t_node = node;
-                  t_bound = parent_bound;
-                  t_num = !nodes;
-                  t_dive;
-                  t_tries = 0;
-                  t_outcome = O_pending;
-                }
-                :: !rev_tasks
-            end
-        done;
-        let tasks = List.rev !rev_tasks in
-        if tasks = [] && not !halt then searching := false
-        else begin
-          run_tasks tasks;
-          List.iter merge tasks;
-          if !halt then searching := false;
-          if
-            !searching
-            && options.checkpoint <> None
-            && Clock.now () -. !last_ck >= options.checkpoint_every
-          then write_checkpoint ()
-        end
-      end
-    done;
-    (* interrupted (budget, deadline or preemption): one final
-       checkpoint before the heap is drained, so a resume restarts
-       from exactly this barrier *)
-    if !stopped_at_limit then write_checkpoint ();
-    (* fold any still-queued nodes into the bound *)
-    if !stopped_at_limit then begin
-      let rec drain () =
-        match H.pop_min queue with
-        | None -> ()
-        | Some (b, _) ->
-          best_open_bound := min !best_open_bound b;
-          drain ()
-      in
-      drain ()
-    end
-  in
-
-  (* -------------- free-running async scheduler --------------------
-
-     No waves, no barriers: every slot runs a full best-effort B&B
-     loop over its own deque, branching locally with per-worker
-     pseudocosts and pruning immediately against the shared atomic
-     incumbent, stealing from the top of a random victim when its own
-     deque runs dry. Termination is an atomic count of queued-or-in-
-     flight nodes. Faster on deep trees than the wave scheduler, but
-     the tree shape depends on scheduling — results can differ run to
-     run within the optimality gap, and chaos stays armed on every
-     domain (firing sites are schedule-dependent). *)
-  let solve_async () =
-    let a_nodes = Atomic.make 0 in
-    let a_seq = Atomic.make 1 in
-    let a_open = Atomic.make 1 in
-    let a_halt = Atomic.make false in
-    let a_limit = Atomic.make false in
-    let a_deadline = Atomic.make false in
-    let a_unbounded = Atomic.make false in
-    let a_preempt = Atomic.make false in
-    let a_feasible = Atomic.make false in
-    let a_failure : exn option Atomic.t = Atomic.make None in
-    let deques = Array.init jobs (fun _ -> Wsdeque.create ()) in
-    let steals = Array.make jobs 0 in
-    let idle = Array.make jobs 0.0 in
-    let folded = Array.make jobs infinity in
-    let w_nodes = if jobs > 1 then Some (Array.init jobs m_nodes_w) else None in
-    let pcs = Array.init jobs (fun _ -> pc_create n) in
-    let fold w b = folded.(w) <- min folded.(w) b in
-    let fail_with e =
-      let rec store () =
-        match Atomic.get a_failure with
-        | Some _ -> ()
-        | None ->
-          if not (Atomic.compare_and_set a_failure None (Some e)) then store ()
-      in
-      store ();
-      Atomic.set a_halt true
-    in
-    let process_node w (node, parent_bound) =
-      if Atomic.get a_halt then fold w parent_bound
-      else if
-        Atomic.get a_nodes >= options.max_nodes
-        || Deadline.expired deadline
-        || Preempt.requested ()
-      then begin
-        if Deadline.expired deadline then Atomic.set a_deadline true;
-        if Preempt.requested () then Atomic.set a_preempt true;
-        Atomic.set a_limit true;
-        Atomic.set a_halt true;
-        fold w parent_bound
-      end
-      else if within_gap_of_incumbent parent_bound then begin
-        Metrics.incr (Lazy.force m_prunes);
-        if Trace.enabled sink then
-          Trace.bound_pruned sink ~solver:"mip" ~node:(Atomic.get a_nodes)
-            ~bound:(of_score parent_bound)
-            ~incumbent:(of_score (inc_score_now ()))
-      end
-      else begin
-        let num = 1 + Atomic.fetch_and_add a_nodes 1 in
-        Metrics.incr (Lazy.force m_nodes);
-        (match w_nodes with Some a -> Metrics.incr a.(w) | None -> ());
-        publish_bound_watermark parent_bound;
-        if Trace.enabled sink then begin
-          let sw = Sampler.decide Sampler.Bb_node in
-          if sw > 0 then
-            Trace.bb_node sink ~sampled_of:sw ~solver:"mip" ~node:num
-              ~depth:node.depth ~bound:(of_score parent_bound) ()
-        end;
-        let sol =
-          Simplex.solve ~lower:node.lower ~upper:node.upper
-            ?basis:(if options.warm_start then node.start_basis else None)
-            ~deadline ~options:lp_options problem
-        in
-        match sol.Simplex.status with
-        | Simplex.Infeasible -> ()
-        | Simplex.Iteration_limit ->
-          fold w parent_bound;
-          Atomic.set a_limit true
-        | Simplex.Deadline_reached ->
-          fold w parent_bound;
-          Atomic.set a_limit true;
-          Atomic.set a_deadline true;
-          Atomic.set a_halt true
-        | Simplex.Unbounded ->
-          Atomic.set a_feasible true;
-          if node.depth = 0 then begin
-            Atomic.set a_unbounded true;
-            Atomic.set a_halt true
-          end
-        | Simplex.Optimal -> (
-          Atomic.set a_feasible true;
-          let raw = to_score sol.Simplex.objective in
-          let raw =
-            if Chaos.fire ~site:"mip.nan_cost" ~p:0.05 () then Float.nan
-            else raw
-          in
-          if Float.is_nan raw then
-            Error.numerical ~stage:"mip.node_lp"
-              ~detail:
-                (Printf.sprintf "NaN relaxation objective at node %d" num);
-          record_pseudocost pcs.(w) node raw;
-          let score = sharpen raw in
-          if within_gap_of_incumbent score then begin
-            Metrics.incr (Lazy.force m_prunes);
-            if Trace.enabled sink then
-              Trace.bound_pruned sink ~solver:"mip" ~node:num
-                ~bound:(of_score score)
-                ~incumbent:(of_score (inc_score_now ()))
-          end
-          else
-            match branch_var pcs.(w) sol.Simplex.primal with
-            | None ->
-              publish_candidate ~key:(node.seq, 0) sol.Simplex.primal score
-            | Some v ->
-              if
-                options.heuristic_period > 0
-                && (num = 1 || num mod options.heuristic_period = 0)
-              then
-                diving_heuristic ~seq:node.seq node sol.Simplex.primal
-                  sol.Simplex.basis;
-              let x = sol.Simplex.primal.(v) in
-              let f = floor (x +. itol) in
-              let frac = x -. f in
-              let child_basis = Some sol.Simplex.basis in
-              let s = Atomic.fetch_and_add a_seq 2 in
-              let down =
-                {
-                  node with
-                  upper = Array.copy node.upper;
-                  depth = node.depth + 1;
-                  seq = s;
-                  branched = Some (v, `Down, raw, frac);
-                  start_basis = child_basis;
-                }
-              in
-              down.upper.(v) <- f;
-              let up =
-                {
-                  node with
-                  lower = Array.copy node.lower;
-                  depth = node.depth + 1;
-                  seq = s + 1;
-                  branched = Some (v, `Up, raw, frac);
-                  start_basis = child_basis;
-                }
-              in
-              up.lower.(v) <- f +. 1.0;
-              if down.upper.(v) >= down.lower.(v) -. 1e-9 then begin
-                Atomic.incr a_open;
-                Wsdeque.push deques.(w) (down, score)
-              end;
-              if up.lower.(v) <= up.upper.(v) +. 1e-9 then begin
-                Atomic.incr a_open;
-                Wsdeque.push deques.(w) (up, score)
-              end)
-      end
-    in
-    let worker w prng =
-      let find () =
-        match Wsdeque.pop deques.(w) with
-        | Some _ as t -> t
-        | None ->
-          let start = Prng.int prng jobs in
-          let rec sweep i =
-            if i = jobs then None
-            else
-              let v = (start + i) mod jobs in
-              if v = w then sweep (i + 1)
-              else
-                match Wsdeque.steal deques.(v) with
-                | Some _ as t ->
-                  steals.(w) <- steals.(w) + 1;
-                  t
-                | None -> sweep (i + 1)
-          in
-          sweep 0
-      in
-      let rec loop () =
-        match find () with
-        | Some task ->
-          (try process_node w task with e -> fail_with e);
-          ignore (Atomic.fetch_and_add a_open (-1));
-          loop ()
-        | None ->
-          if Atomic.get a_open > 0 then begin
-            let t0 = Clock.now () in
-            Domain.cpu_relax ();
-            idle.(w) <- idle.(w) +. (Clock.now () -. t0);
-            loop ()
-          end
-      in
-      loop ();
-      if w > 0 then Trace.flush sink
-    in
-    (* the root runs inline on this domain before any spawn, forcing
-       kernel-internal lazies and skipping domain setup entirely for
-       models whose root relaxation decides the solve *)
-    (try process_node 0 (root, neg_infinity) with e -> fail_with e);
-    ignore (Atomic.fetch_and_add a_open (-1));
-    let domains =
-      if jobs > 1 && Atomic.get a_open > 0 && not (Atomic.get a_halt) then
-        Array.init (jobs - 1) (fun i ->
-            let w = i + 1 in
-            Domain.spawn (fun () -> worker w worker_prngs.(w)))
-      else [||]
-    in
-    worker 0 worker_prngs.(0);
-    Array.iter Domain.join domains;
-    nodes := Atomic.get a_nodes;
-    if Atomic.get a_limit then stopped_at_limit := true;
-    if Atomic.get a_deadline then deadline_stop := true;
-    if Atomic.get a_preempt then begin
-      (* no checkpoint in async mode: the tree shape is schedule-
-         dependent, so there is no consistent frontier to persist —
-         the incumbent and certified gap are still reported *)
-      preempted := true;
-      if Trace.enabled sink then
-        Trace.preempt_stop sink ~phase:"mip" ~nodes:!nodes;
-      Flightrec.trigger ~reason:"preempt"
-    end;
-    if Atomic.get a_unbounded then root_unbounded := true;
-    if Atomic.get a_feasible then infeasible_root := false;
-    let fb = Array.fold_left min infinity folded in
-    if fb < infinity then best_open_bound := min !best_open_bound fb;
-    let stolen = Array.fold_left ( + ) 0 steals in
-    if stolen > 0 then Metrics.add (Lazy.force m_steals) stolen;
-    if jobs > 1 then
-      Array.iteri
-        (fun w s ->
-          if s > 0.0 then begin
-            let g = m_idle_w w in
-            Metrics.set g (Metrics.gauge_value g +. s)
-          end)
-        idle;
-    match Atomic.get a_failure with Some e -> raise e | None -> ()
-  in
-  if options.deterministic then solve_deterministic () else solve_async ();
-  let inc = Incumbent.get incumbent in
-  let inc_score =
-    match inc with Some c -> c.Incumbent.score | None -> infinity
-  in
-  let bound_score =
-    if !stopped_at_limit then min !best_open_bound inc_score
-    else if !best_open_bound > neg_infinity then min !best_open_bound inc_score
-    else inc_score
-  in
-  let gap =
-    if inc_score = infinity || bound_score = neg_infinity then infinity
-    else (inc_score -. bound_score) /. max 1.0 (abs_float inc_score)
-  in
-  let status =
-    if !root_unbounded then Unbounded
-    else
-      match inc with
-      | Some _ ->
-        if (not !stopped_at_limit) || gap <= options.gap_tolerance then Optimal
-        else Feasible
-      | None -> if !stopped_at_limit then No_solution else Infeasible
-  in
-  if !deadline_stop then begin
-    if Trace.enabled sink then
-      Trace.deadline_hit sink ~phase:"mip" ~elapsed:(Deadline.elapsed deadline)
-        ~budget;
-    if options.log then
-      Printf.eprintf "[mip] deadline hit after %.3fs (budget %.3fs)\n%!"
-        (Deadline.elapsed deadline) budget
-  end;
-  {
-    status;
-    objective =
-      (match inc with Some c -> of_score c.Incumbent.score | None -> nan);
-    solution = (match inc with Some c -> Some c.Incumbent.x | None -> None);
-    bound = of_score bound_score;
-    nodes = !nodes;
-    gap = (if status = Optimal then 0.0 else gap);
-    deadline_hit = !deadline_stop;
-    preempted = !preempted;
-  }
+      ~finally:(fun () -> Mip_pool.shutdown pool)
+      (fun () ->
+        search_loop ctx r pool;
+        close_interrupted ctx r);
+    finish ctx r
   end
 
+let check_options options =
+  if not options.deterministic then
+    invalid_arg
+      "Mip: options.deterministic = false is not supported; the wave \
+       scheduler is the only branch-and-bound scheduler"
+
 let solve ?(options = default_options) model =
+  check_options options;
   solve_gen ~options ~restore:None model
 
 (* Options split on resume: the checkpoint owns everything that shapes
@@ -1933,13 +834,8 @@ let solve ?(options = default_options) model =
    logging and where the next checkpoint goes (defaulting to
    overwriting the file being resumed). *)
 let resume ?(options = default_options) path =
-  let version, body = Ckpt.load ~path ~magic:ck_magic in
-  if version <> ck_version then
-    Error.parse_error ~file:path ~line:1
-      (Printf.sprintf
-         "unsupported checkpoint version %d (this build reads version %d)"
-         version ck_version);
-  let s = ck_decode ~path body in
+  check_options options;
+  let s = Mip_codec.load path in
   let options =
     {
       s.s_options with

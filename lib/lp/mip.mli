@@ -15,16 +15,15 @@
     counts). Node and wall-clock limits turn the solver into an
     anytime heuristic that reports the remaining gap.
 
-    With [jobs > 1] the search runs on OCaml 5 domains: node LPs are
-    dealt to per-domain workers with work-stealing deques, and the
-    incumbent lives in a shared atomic cell. In the default
-    deterministic mode the tree is explored in fixed-size waves whose
-    composition, branching decisions and incumbent updates are all
-    decided in a scheduling-independent order, so the reported
-    incumbent, objective, bound, node count and gap are bit-identical
-    for every [jobs] value (deadline-triggered stops excepted — wall
-    clock is inherently timing-dependent). See DESIGN.md §14 for the
-    scheduler and the memory-model argument. *)
+    The tree is explored in fixed-size waves whose composition,
+    branching decisions and incumbent updates are all decided in a
+    scheduling-independent order. With [jobs > 1] the node LPs of a
+    wave run on OCaml 5 domains (work-stealing deques, the incumbent
+    in a shared atomic cell), and the reported incumbent, objective,
+    bound, node count and gap are bit-identical for every [jobs]
+    value (deadline-triggered stops excepted — wall clock is
+    inherently timing-dependent). See DESIGN.md §14 for the scheduler
+    and the memory-model argument. *)
 
 type branching =
   | Most_fractional
@@ -74,27 +73,22 @@ type options = {
           is how CI forces the whole tier-1 suite through the parallel
           scheduler. *)
   deterministic : bool;
-      (** [true] (default): wave scheduling with a jobs-invariant
-          result (same incumbent, objective, bound, nodes and gap for
-          any [jobs]); scoped chaos sites are suppressed inside node
-          LPs because fault timing is scheduling-dependent. [false]:
-          free-running work stealing with immediate atomic pruning —
-          faster on deep trees, but results may vary within
-          [gap_tolerance] between runs and chaos stays armed
-          everywhere. *)
+      (** must be [true] (the default): the wave scheduler, whose
+          result is jobs-invariant, is the only scheduler, and {!solve}
+          and {!resume} raise [Invalid_argument] on [false]. The field
+          stays only because the frozen benchmark sets it; it goes at
+          the next change to the benchmark contract. *)
   wave : int;
-      (** nodes dispatched per wave in deterministic mode (default 16).
+      (** nodes dispatched per wave (default 16).
           Larger waves expose more parallelism; the value changes which
           tree is explored but is independent of [jobs], so any fixed
           [wave] preserves the determinism contract. *)
   checkpoint : string option;
       (** write crash-recovery checkpoints of the search state to this
-          path (default [None]: no checkpoints). Deterministic mode
-          only — the async scheduler has no consistent frontier to
-          persist. Writes are atomic (tmp file + rename) and happen at
-          wave barriers, so a reader never sees a torn file and a
-          crash at any instant leaves either the previous or the new
-          checkpoint intact. A final checkpoint is written when the
+          path (default [None]: no checkpoints). Writes are atomic
+          (tmp file + rename) and happen at wave barriers, so a reader
+          never sees a torn file and a crash at any instant leaves
+          either the previous or the new checkpoint intact. A final checkpoint is written when the
           solve stops at a limit or is preempted. See {!resume} and
           DESIGN.md §16. *)
   checkpoint_every : float;
@@ -113,9 +107,6 @@ val resolved_jobs : options -> int
     floored at 1. Exposed so run manifests can record the resolved
     value. *)
 
-val scheduler_mode : options -> string
-(** ["wave"] (deterministic) or ["async"], for run manifests. *)
-
 (** The shared incumbent cell of a parallel search, exposed for the
     multi-domain stress tests. Candidates carry a minimization score
     and a unique (node seq, sub) key; [publish] is a CAS loop that
@@ -123,7 +114,7 @@ val scheduler_mode : options -> string
     exact order [better] (score, then key). Because the order is total
     and exact, the cell converges to the minimum over every candidate
     offered, whatever the interleaving — the property the
-    deterministic mode's contract rests on. *)
+    jobs-invariance contract rests on. *)
 module Incumbent : sig
   type cand = { score : float; key : int * int; x : float array }
 
@@ -176,7 +167,8 @@ type result = {
 val solve : ?options:options -> Model.t -> result
 (** Solve the model to optimality (or to its limits). Integrality of
     [Integer]/[Binary] variables is enforced; [Continuous] variables
-    are free to take fractional values. *)
+    are free to take fractional values. Raises [Invalid_argument] when
+    [options.deterministic] is [false]. *)
 
 val resume : ?options:options -> string -> result
 (** [resume path] loads the checkpoint at [path] and continues the
@@ -189,9 +181,9 @@ val resume : ?options:options -> string -> result
     recorded elapsed time is subtracted), [log], [checkpoint] (default:
     overwrite [path]) and [checkpoint_every].
 
-    Determinism contract: for a deterministic-mode solve interrupted at
-    any wave barrier — including a [SIGKILL] between barriers, which
-    leaves the last atomic checkpoint — resuming yields bit-identical
+    Determinism contract: for a solve interrupted at any wave barrier
+    — including a [SIGKILL] between barriers, which leaves the last
+    atomic checkpoint — resuming yields bit-identical
     [status]/[objective]/[solution]/[bound]/[gap] and the same total
     [nodes] as the uninterrupted run, for any [jobs] value on both
     sides. Floats round-trip through the file as hexadecimal literals
@@ -200,7 +192,8 @@ val resume : ?options:options -> string -> result
 
     Raises {!Monpos_resilience.Error.Error}: [Io_error] when [path]
     cannot be read, [Parse_error] (with a line number) on truncation,
-    checksum mismatch or an unsupported format version. *)
+    checksum mismatch or an unsupported format version. Raises
+    [Invalid_argument] when [options.deterministic] is [false]. *)
 
 val fail : ?options:options -> stage:string -> result -> 'a
 (** Raise the {!Monpos_resilience.Error.Error} that best describes why

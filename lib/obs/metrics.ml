@@ -14,6 +14,9 @@ type histogram = {
   counts : int array; (* length upper + 1; last is overflow *)
   mutable h_count : int;
   mutable h_sum : float;
+  (* the observed range, which bounds every quantile estimate *)
+  mutable h_min : float;
+  mutable h_max : float;
   h_lock : Mutex.t;
 }
 
@@ -166,6 +169,8 @@ let histogram ?(buckets = default_buckets) ?(labels = []) t name =
             counts = Array.make (Array.length buckets + 1) 0;
             h_count = 0;
             h_sum = 0.0;
+            h_min = infinity;
+            h_max = neg_infinity;
             h_lock = Mutex.create ();
           })
       (function I_histogram _ as i -> i | _ -> kind_error name)
@@ -190,7 +195,11 @@ let observe h v =
   Mutex.protect h.h_lock (fun () ->
       h.counts.(i) <- h.counts.(i) + 1;
       h.h_count <- h.h_count + 1;
-      h.h_sum <- h.h_sum +. v)
+      h.h_sum <- h.h_sum +. v;
+      (* written only when the range grows: observe stays as cheap as
+         it was for the common in-range sample *)
+      if v < h.h_min then h.h_min <- v;
+      if v > h.h_max then h.h_max <- v)
 
 type entry =
   | Counter_value of int
@@ -200,6 +209,8 @@ type entry =
       counts : int array;
       count : int;
       sum : float;
+      min : float;
+      max : float;
     }
 
 type snapshot = (series * entry) list
@@ -220,6 +231,8 @@ let snapshot t =
                       counts = Array.copy h.counts;
                       count = h.h_count;
                       sum = h.h_sum;
+                      min = h.h_min;
+                      max = h.h_max;
                     })
           in
           (series, entry))
@@ -236,7 +249,9 @@ let reset t =
             Mutex.protect h.h_lock (fun () ->
                 Array.fill h.counts 0 (Array.length h.counts) 0;
                 h.h_count <- 0;
-                h.h_sum <- 0.0))
+                h.h_sum <- 0.0;
+                h.h_min <- infinity;
+                h.h_max <- neg_infinity))
         t.tbl)
 
 let find ?(labels = []) snap name =
@@ -252,16 +267,15 @@ let sum_counter snap name =
       | _ -> acc)
     0 snap
 
-(* Percentile estimates via linear interpolation within buckets; an
-   estimate landing in the unbounded overflow bucket can only be
-   bounded below, and reports as ">last_bound". *)
-let estimate_percentile ~upper ~counts p =
-  Monpos_util.Stats.percentile_buckets ~upper ~counts p
-
-let percentile_cell ~upper ~counts p =
-  match estimate_percentile ~upper ~counts p with
-  | Some v -> Printf.sprintf "%.6g" v
-  | None -> Printf.sprintf ">%g" upper.(Array.length upper - 1)
+(* Percentile estimate of a non-empty histogram: linear interpolation
+   within buckets, clamped to the observed range — interpolating from
+   a bucket's lower edge alone would report a single 12.48 s sample as
+   p50 = 10. An estimate landing in the unbounded overflow bucket
+   reports the maximum. *)
+let estimate_percentile ~upper ~counts ~min ~max p =
+  match Monpos_util.Stats.percentile_buckets ~upper ~counts p with
+  | Some v -> Float.min max (Float.max min v)
+  | None -> max
 
 let render_table snap =
   let rows =
@@ -272,18 +286,21 @@ let render_table snap =
         | Counter_value c -> [ name; "counter"; string_of_int c ]
         | Gauge_value g -> [ name; "gauge"; Printf.sprintf "%g" g ]
         | Histogram_value h ->
+          let pct p =
+            estimate_percentile ~upper:h.upper ~counts:h.counts ~min:h.min
+              ~max:h.max p
+          in
           [
             name;
             "histogram";
             (if h.count = 0 then "count=0"
              else
                Printf.sprintf
-                 "count=%d sum=%.6g mean=%.6g p50=%s p90=%s p99=%s" h.count
+                 "count=%d sum=%.6g mean=%.6g p50=%.6g p90=%.6g p99=%.6g"
+                 h.count
                  h.sum
                  (h.sum /. float_of_int h.count)
-                 (percentile_cell ~upper:h.upper ~counts:h.counts 50.0)
-                 (percentile_cell ~upper:h.upper ~counts:h.counts 90.0)
-                 (percentile_cell ~upper:h.upper ~counts:h.counts 99.0));
+                 (pct 50.0) (pct 90.0) (pct 99.0));
           ])
       snap
   in
@@ -311,9 +328,11 @@ let to_json snap =
                      ])
              in
              let pjson p =
-               match estimate_percentile ~upper:h.upper ~counts:h.counts p with
-               | Some v -> Json.Float v
-               | None -> Json.Null (* beyond the last bound *)
+               if h.count = 0 then Json.Null
+               else
+                 Json.Float
+                   (estimate_percentile ~upper:h.upper ~counts:h.counts
+                      ~min:h.min ~max:h.max p)
              in
              Json.Obj
                [

@@ -84,6 +84,8 @@ type entry =
       counts : int array;  (** one per bound plus a final overflow *)
       count : int;
       sum : float;
+      min : float;  (** smallest observation; [infinity] when empty *)
+      max : float;  (** largest observation; [neg_infinity] when empty *)
     }
 
 type snapshot = (series * entry) list
@@ -106,14 +108,15 @@ val render_table : snapshot -> string
 (** Aligned plain-text table (one series per row, named by
     {!series_key}). Histogram rows include p50/p90/p99 estimated by
     linear interpolation within buckets
-    ({!Monpos_util.Stats.percentile_buckets}); an estimate landing in
-    the overflow bucket prints as [>last_bound]. *)
+    ({!Monpos_util.Stats.percentile_buckets}) and clamped to the
+    observed [[min, max]]; an estimate landing in the overflow bucket
+    reports [max]. *)
 
 val to_json : snapshot -> Json.t
 (** Object keyed by {!series_key}; counters render as integers,
     gauges as numbers, histograms as
     [{"count":..,"sum":..,"p50":..,"p90":..,"p99":..,
       "buckets":[{"le":..,"count":..},...]}]
-    where the final bucket has ["le":null] (overflow) and a
-    percentile estimate landing in the overflow bucket renders as
-    [null]. *)
+    where the final bucket has ["le":null] (overflow). Percentiles
+    are estimated as in {!render_table}, and are [null] only for an
+    empty histogram. *)

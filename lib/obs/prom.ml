@@ -156,7 +156,7 @@ let to_prometheus ?namespace snap =
           | Metrics.Counter_value c ->
             add_sample b exposed labels (float_of_int c)
           | Metrics.Gauge_value g -> add_sample b exposed labels g
-          | Metrics.Histogram_value { upper; counts; count; sum } ->
+          | Metrics.Histogram_value { upper; counts; count; sum; _ } ->
             (* buckets are cumulative in the exposition even though the
                registry stores them disjoint *)
             let cum = ref 0 in

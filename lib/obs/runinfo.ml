@@ -51,7 +51,11 @@ let capture ?chaos_seed ?jobs ?scheduler ?argv () =
     hostname = (try Unix.gethostname () with Unix.Unix_error _ -> "unknown");
     chaos_seed;
     jobs;
-    scheduler;
+    (* the wave scheduler is the branch-and-bound solver's only one *)
+    scheduler =
+      (match scheduler with
+      | None when jobs <> None -> Some "wave"
+      | s -> s);
     argv =
       (match argv with
       | Some a -> Array.to_list a

@@ -24,8 +24,9 @@ type t = {
   chaos_seed : int option;  (** set when fault injection was armed *)
   jobs : int option;  (** worker domain count of parallel solves *)
   scheduler : string option;
-      (** ["wave"] (deterministic) or ["async"]; [None] for runs that
-          never touch the parallel solver *)
+      (** the branch-and-bound scheduler, always ["wave"]; [None] for
+          runs that never touch the solver. Kept so manifests written
+          by every version join on the same field. *)
   argv : string list;
 }
 
@@ -39,9 +40,9 @@ val capture :
 (** Mint a manifest for this process. [argv] defaults to [Sys.argv];
     [chaos_seed] is passed by callers that know the fault-injection
     state (this module cannot ask {!Monpos_resilience.Chaos} itself —
-    the dependency points the other way), and [jobs]/[scheduler]
-    likewise describe the parallel solver configuration the caller
-    resolved. *)
+    the dependency points the other way), and [jobs] likewise
+    describes the worker-domain count the caller resolved. [scheduler]
+    defaults to ["wave"] when [jobs] is given. *)
 
 val to_fields : t -> (string * Json.t) list
 

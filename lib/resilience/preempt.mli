@@ -3,7 +3,7 @@
     SIGINT/SIGTERM must not kill a branch-and-bound search mid-wave:
     the frontier would be lost and the incumbent unreported. Instead
     {!install} registers handlers that merely set a process-wide flag;
-    the deterministic scheduler polls {!requested} at every wave
+    the wave scheduler polls {!requested} at every wave
     barrier — the one point where the open-node heap is consistent —
     and on a pending request writes a final checkpoint, triggers a
     flight dump, stops searching and returns the incumbent with its

@@ -181,7 +181,6 @@ let opts ?(wave = 16) ?checkpoint ?(checkpoint_every = 60.0)
   {
     Mip.default_options with
     Mip.jobs;
-    deterministic = true;
     wave;
     checkpoint;
     checkpoint_every;
@@ -373,13 +372,7 @@ let test_ppme_kill_resume_identity () =
          let base = Sampling.default_milp_options in
          let sol =
            Sampling.solve_milp
-             ~options:
-               {
-                 base with
-                 Mip.deterministic = true;
-                 wave = 1;
-                 checkpoint = Some path;
-               }
+             ~options:{ base with Mip.wave = 1; checkpoint = Some path }
              pb
          in
          List.length sol.Sampling.installed))

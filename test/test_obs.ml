@@ -166,12 +166,14 @@ let test_histogram () =
   let h = Metrics.histogram ~buckets:[| 1.0; 2.0; 4.0 |] r "test.hist" in
   List.iter (Metrics.observe h) [ 0.5; 1.0; 1.5; 3.0; 100.0 ];
   match Metrics.find (Metrics.snapshot r) "test.hist" with
-  | Some (Metrics.Histogram_value { upper; counts; count; sum }) ->
+  | Some (Metrics.Histogram_value { upper; counts; count; sum; min; max }) ->
     Alcotest.(check (array (float 0.0))) "bounds" [| 1.0; 2.0; 4.0 |] upper;
     (* cumulative-free per-bucket counts, with the 100.0 in overflow *)
     Alcotest.(check (array int)) "counts" [| 2; 1; 1; 1 |] counts;
     Alcotest.(check int) "count" 5 count;
-    check_float "sum" 106.0 sum
+    check_float "sum" 106.0 sum;
+    check_float "min" 0.5 min;
+    check_float "max" 100.0 max
   | _ -> Alcotest.fail "histogram entry missing"
 
 let test_histogram_bad_buckets () =

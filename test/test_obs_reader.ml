@@ -317,8 +317,8 @@ let test_metrics_percentile_rendering () =
   Alcotest.(check bool) "p50 cell" true (has "p50=1 ");
   Alcotest.(check bool) "p90 cell" true (has "p90=3.2 ");
   Alcotest.(check bool) "p99 cell" true (has "p99=3.92");
-  Alcotest.(check bool) "overflow prints >last_bound" true (has "p50=>4 ");
-  (* json: overflow percentiles are null, in-range ones are numbers *)
+  Alcotest.(check bool) "overflow reports the maximum" true (has "p50=7 ");
+  (* json: overflow percentiles report the maximum too *)
   match Metrics.to_json (Metrics.snapshot r) with
   | Json.Obj kvs ->
     let member name k =
@@ -327,8 +327,22 @@ let test_metrics_percentile_rendering () =
       | _ -> Alcotest.fail (name ^ " is not an object")
     in
     Alcotest.check json "hist p50" (Json.Float 1.0) (member "test.hist" "p50");
-    Alcotest.check json "ovf p99 null" Json.Null (member "test.ovf" "p99")
+    Alcotest.check json "ovf p99 max" (Json.Float 7.0) (member "test.ovf" "p99")
   | _ -> Alcotest.fail "snapshot json is not an object"
+
+(* a single 12.48 s sample lands in the (10, 30] bucket, whose lower
+   edge is 10: every estimate must stay inside the observed range *)
+let test_percentiles_clamped_to_range () =
+  let r = Metrics.create () in
+  Metrics.observe (Metrics.histogram r "test.single") 12.48;
+  let table = Metrics.render_table (Metrics.snapshot r) in
+  Alcotest.(check bool) "table p50 and p99" true
+    (Astring.String.is_infix ~affix:"p50=12.48 p90=12.48 p99=12.48" table);
+  match Metrics.to_json (Metrics.snapshot r) with
+  | Json.Obj [ (_, Json.Obj fields) ] ->
+    Alcotest.check json "json p50" (Json.Float 12.48) (List.assoc "p50" fields);
+    Alcotest.check json "json p99" (Json.Float 12.48) (List.assoc "p99" fields)
+  | _ -> Alcotest.fail "snapshot json is not a one-series object"
 
 (* ------------------------------------------------------------------ *)
 (* buffered file sink *)
@@ -637,6 +651,8 @@ let suite =
     Alcotest.test_case "bucket percentiles" `Quick test_percentile_buckets;
     Alcotest.test_case "metrics percentile rendering" `Quick
       test_metrics_percentile_rendering;
+    Alcotest.test_case "percentiles clamped to observed range" `Quick
+      test_percentiles_clamped_to_range;
     Alcotest.test_case "buffered file sink" `Quick test_buffered_sink;
     Alcotest.test_case "bench regression gate" `Quick test_bench_check;
     Alcotest.test_case "analyze round trip on pop10" `Quick

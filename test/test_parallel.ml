@@ -1,9 +1,9 @@
-(* Parallel branch-and-bound tests: the deterministic mode's
+(* Parallel branch-and-bound tests: the wave scheduler's
    jobs-invariance contract (same incumbent, objective, bound, node
    count and gap for any worker-domain count) on random models and on
    the paper's seed MIPs, the chaos degradation ladder under parallel
-   solves, and the shared incumbent cell under a multi-domain
-   hammer. *)
+   solves, the shared incumbent cell under a multi-domain hammer, and
+   the rejection of [deterministic = false]. *)
 
 module Instance = Monpos.Instance
 module Passive = Monpos.Passive
@@ -19,7 +19,7 @@ module Chaos = Monpos_resilience.Chaos
 let jobs_list = [ 1; 2; 4 ]
 
 let opts ?(wave = 16) jobs =
-  { Mip.default_options with Mip.jobs; deterministic = true; wave }
+  { Mip.default_options with Mip.jobs; wave }
 
 let check_float = Alcotest.(check (float 1e-12))
 
@@ -125,7 +125,7 @@ let test_ppme_jobs_invariant () =
     List.map
       (fun jobs ->
         let options =
-          { Sampling.default_milp_options with Mip.jobs; deterministic = true }
+          { Sampling.default_milp_options with Mip.jobs }
         in
         Sampling.solve_milp ~options pb)
       jobs_list
@@ -173,7 +173,7 @@ let with_chaos seed f =
 
 let test_chaos_ladder_jobs_invariant () =
   (* the degradation ladder must land on the same rung with the same
-     answer whatever the domain count: deterministic mode pins the
+     answer whatever the domain count: the wave scheduler pins the
      chaos draws that feed the solver (deadline compression at solve
      entry, per-node cost corruption at merge) to scheduling-
      independent points *)
@@ -201,8 +201,8 @@ let test_chaos_ladder_jobs_invariant () =
 let test_incumbent_stress () =
   (* 8 domains race to publish pre-drawn candidates; whatever the
      interleaving, the cell must converge to the global minimum under
-     the exact (score, key) order — the property the deterministic
-     mode's incumbent filtering rests on *)
+     the exact (score, key) order — the property the wave scheduler's
+     incumbent filtering rests on *)
   let domains = 8 in
   let per_domain = 10_000 in
   let parent = Prng.create 9090 in
@@ -248,6 +248,18 @@ let test_incumbent_stress () =
   | None, _ -> Alcotest.fail "cell empty after publishes"
   | _, None -> Alcotest.fail "no candidates drawn"
 
+(* the wave scheduler is the only one, so [deterministic = false] must
+   fail loudly rather than silently run it anyway *)
+let test_async_rejected () =
+  let options = { Mip.default_options with Mip.deterministic = false } in
+  let rejected what f =
+    match f () with
+    | (_ : Mip.result) -> Alcotest.fail (what ^ " accepted the option")
+    | exception Invalid_argument _ -> ()
+  in
+  rejected "solve" (fun () -> Mip.solve ~options (random_model (Prng.create 3)));
+  rejected "resume" (fun () -> Mip.resume ~options "unused.ckpt")
+
 let suite =
   [
     Alcotest.test_case "random models jobs-invariant" `Quick
@@ -262,4 +274,6 @@ let suite =
       test_chaos_ladder_jobs_invariant;
     Alcotest.test_case "incumbent cell 8-domain stress" `Quick
       test_incumbent_stress;
+    Alcotest.test_case "deterministic = false rejected" `Quick
+      test_async_rejected;
   ]

@@ -97,7 +97,7 @@ let test_cumulative_buckets_match_snapshot () =
   let snap = Metrics.snapshot t in
   let upper, counts, count, sum =
     match Metrics.find ~labels:[ ("span", "x") ] snap "lat.seconds" with
-    | Some (Metrics.Histogram_value { upper; counts; count; sum }) ->
+    | Some (Metrics.Histogram_value { upper; counts; count; sum; _ }) ->
       (upper, counts, count, sum)
     | _ -> Alcotest.fail "histogram series missing"
   in
