@@ -9,6 +9,12 @@
     stability for the very sparse, network-structured bases produced
     by the paper's PPM/PPME/MECF programs.
 
+    A factorization costs in proportion to the nonzeros it touches,
+    not O(m{^2}): the shortest columns come out of exact count
+    buckets, and each elimination updates the target row in place,
+    visiting only the pivot row's columns, with an O(1) column lookup
+    on long (dense) rows.
+
     Index spaces: the basis [B] is [m x m]; its {e rows} are the LP's
     constraint rows and its {e columns} are basis positions (position
     [r] holds the column of the [r]-th basic variable). {!ftran} maps

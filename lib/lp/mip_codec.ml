@@ -43,7 +43,14 @@ type saved = {
   s_search : search;
 }
 
-let hex = Printf.sprintf "%h"
+(* "%h", with the values that make up most of a checkpoint — 0/1
+   bounds of every frontier node and unit coefficients — spelled
+   without a Printf call; the text is the same *)
+let hex x =
+  if x = 0.0 && 1.0 /. x > 0.0 then "0x0p+0"
+  else if x = 1.0 then "0x1p+0"
+  else if x = -1.0 then "-0x1p+0"
+  else Printf.sprintf "%h" x
 
 let flag b = if b then "1" else "0"
 

@@ -32,11 +32,19 @@ type 'a job = {
      the supervisor requeues up to a small cap, past which the failure
      is evidently the task's own (a deterministic bug) and propagates *)
   mutable tries : int;
+  (* drawn at deal time by the [domain.die] chaos site: the first
+     worker slot to pick the task up dies on it *)
+  doomed : bool;
 }
 
 (* chaos site [domain.die]: the injected fail-stop worker death. The
    exception deliberately is not [Error.Error] — the supervisor must
-   treat it like any other unexpected worker crash. *)
+   treat it like any other unexpected worker crash. The lottery is
+   drawn on the coordinator when a wave is dealt, once per task in
+   wave order, and a doomed task waits in a queue that only worker
+   slots drain; so the number of deaths depends on the chaos seed and
+   the wave sequence alone, never on which slot happened to run
+   what. *)
 exception Worker_killed of int
 
 (* The spawned side of the pool. Work arrives in waves: the
@@ -64,9 +72,13 @@ type 'a workers = {
      propagates. *)
   p_dead : bool array;
   p_retry : 'a job Queue.t;
+  (* doomed tasks of the current wave, guarded by [p_lock]; at most
+     one per live worker slot, so each finds a slot to kill *)
+  p_doomed : 'a job Queue.t;
   p_steals : int array;
   p_idle : float array;
   p_nodes_w : Metrics.counter array;
+  p_failures : Metrics.counter;
   p_process : 'a -> unit;
   p_sink : Trace.sink;
   mutable p_domains : unit Domain.t array;
@@ -79,32 +91,45 @@ type 'a t = {
   workers : 'a workers Lazy.t;
 }
 
-let take_retry pool =
+let take pool q =
   Mutex.protect pool.p_lock (fun () ->
-      if Queue.is_empty pool.p_retry then None
-      else Some (Queue.pop pool.p_retry))
+      if Queue.is_empty q then None else Some (Queue.pop q))
 
+let steal_task pool w prng =
+  let start = Prng.int prng pool.p_jobs in
+  let rec sweep i =
+    if i = pool.p_jobs then None
+    else
+      let v = (start + i) mod pool.p_jobs in
+      if v = w then sweep (i + 1)
+      else
+        match Wsdeque.steal pool.p_deques.(v) with
+        | Some _ as t ->
+          pool.p_steals.(w) <- pool.p_steals.(w) + 1;
+          t
+        | None -> sweep (i + 1)
+  in
+  sweep 0
+
+(* doomed tasks first (worker slots only), then the own deque, the
+   retry queue, and last a steal sweep over random victims *)
 let find_task pool w prng =
-  match Wsdeque.pop pool.p_deques.(w) with
+  match if w > 0 then take pool pool.p_doomed else None with
   | Some _ as t -> t
   | None -> (
-    match take_retry pool with
+    match Wsdeque.pop pool.p_deques.(w) with
     | Some _ as t -> t
-    | None ->
-      let start = Prng.int prng pool.p_jobs in
-      let rec sweep i =
-        if i = pool.p_jobs then None
-        else
-          let v = (start + i) mod pool.p_jobs in
-          if v = w then sweep (i + 1)
-          else
-            match Wsdeque.steal pool.p_deques.(v) with
-            | Some _ as t ->
-              pool.p_steals.(w) <- pool.p_steals.(w) + 1;
-              t
-            | None -> sweep (i + 1)
-      in
-      sweep 0)
+    | None -> (
+      match take pool pool.p_retry with
+      | Some _ as t -> t
+      | None -> steal_task pool w prng))
+
+let live_workers pool =
+  let n = ref 0 in
+  for w = 1 to pool.p_jobs - 1 do
+    if not pool.p_dead.(w) then incr n
+  done;
+  !n
 
 let record_failure pool e =
   Mutex.protect pool.p_lock (fun () ->
@@ -137,8 +162,12 @@ let supervise_failure pool w j e =
         | None -> ()
       in
       drain_own ();
+      (* a slot lost to something other than the lottery can leave
+         doomed tasks without a worker to run them: slot 0 takes them
+         from the retry queue, where nobody dies *)
+      if live_workers pool = 0 then Queue.transfer pool.p_doomed pool.p_retry;
       Condition.broadcast pool.p_cond);
-  Metrics.incr (Lazy.force m_worker_failures);
+  Metrics.incr pool.p_failures;
   if Trace.enabled pool.p_sink then
     Trace.worker_failure pool.p_sink ~slot:w ~reason:(Printexc.to_string e);
   Flightrec.trigger ~reason:"worker_failure"
@@ -149,13 +178,10 @@ let rec drain_wave pool w prng =
     match find_task pool w prng with
     | Some j -> (
       match
-        (* the die site fires only on a task's first attempt: a worker
-           picking up a requeued task must not die on it again, or a
+        (* a doomed task kills only on its first attempt: a worker
+           picking up the requeued task must not die on it again, or a
            single unlucky task could fell every slot in turn *)
-        if
-          w > 0 && j.tries = 0
-          && Chaos.fire ~scoped:false ~site:"domain.die" ~p:0.02 ()
-        then raise (Worker_killed w)
+        if w > 0 && j.doomed && j.tries = 0 then raise (Worker_killed w)
         else pool.p_process j.item
       with
       | () ->
@@ -179,13 +205,22 @@ let rec drain_wave pool w prng =
         end)
     | None ->
       (* nothing stealable: either the wave is done or every remaining
-         task is in flight on another slot — wait for the zero broadcast *)
+         task is in flight on another slot — wait for the zero broadcast.
+         Retry and doomed tasks are queued under [p_lock] and announced
+         by a broadcast that may have gone out since [find_task] looked,
+         so they are checked again here; slot 0 cannot run a doomed
+         task, so a worker sleeping through one would hang the wave. *)
       let finished =
         Mutex.protect pool.p_lock (fun () ->
             if pool.p_remaining > 0 && not pool.p_quit then begin
-              let t0 = Clock.now () in
-              Condition.wait pool.p_cond pool.p_lock;
-              pool.p_idle.(w) <- pool.p_idle.(w) +. (Clock.now () -. t0);
+              if
+                Queue.is_empty pool.p_retry
+                && (w = 0 || Queue.is_empty pool.p_doomed)
+              then begin
+                let t0 = Clock.now () in
+                Condition.wait pool.p_cond pool.p_lock;
+                pool.p_idle.(w) <- pool.p_idle.(w) +. (Clock.now () -. t0)
+              end;
               false
             end
             else true)
@@ -224,9 +259,13 @@ let spawn ~jobs ~prngs ~process ~sink =
       p_failure = None;
       p_dead = Array.make jobs false;
       p_retry = Queue.create ();
+      p_doomed = Queue.create ();
       p_steals = Array.make jobs 0;
       p_idle = Array.make jobs 0.0;
       p_nodes_w = Array.init jobs m_nodes_w;
+      (* forced here, not on a dying worker: two workers dying at once
+         would race on the lazy and one would raise Lazy.Undefined *)
+      p_failures = Lazy.force m_worker_failures;
       p_process = process;
       p_sink = sink;
       p_domains = [||];
@@ -252,11 +291,28 @@ let run_wave pool prng0 tasks =
     Array.of_list
       (List.filter (fun w -> not pool.p_dead.(w)) (List.init pool.p_jobs Fun.id))
   in
+  let victims = live_workers pool in
+  let doomed = ref 0 in
   List.iteri
     (fun i item ->
-      Wsdeque.push
-        pool.p_deques.(alive.(i mod Array.length alive))
-        { item; tries = 0 })
+      if
+        !doomed < victims
+        && Chaos.fire ~scoped:false ~site:"domain.die" ~p:0.02 ()
+      then begin
+        incr doomed;
+        (* re-checked under the lock that marks slots dead: if an
+           ordinary crash took the last worker during the deal, no
+           slot could ever run a doomed task, so it goes to the retry
+           queue undoomed, like [supervise_failure] moves the others *)
+        Mutex.protect pool.p_lock (fun () ->
+            if live_workers pool > 0 then
+              Queue.push { item; tries = 0; doomed = true } pool.p_doomed
+            else Queue.push { item; tries = 0; doomed = false } pool.p_retry)
+      end
+      else
+        Wsdeque.push
+          pool.p_deques.(alive.(i mod Array.length alive))
+          { item; tries = 0; doomed = false })
     tasks;
   (* second broadcast: a worker that woke on the generation bump,
      found the deques still empty and went back to waiting needs a

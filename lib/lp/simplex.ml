@@ -21,7 +21,9 @@
 
    Warm starts: [solve ?basis] installs a caller-supplied basic set
    (typically the parent branch-and-bound node's optimal basis)
-   through the same kernel factorization as any other basis, parks
+   through the same kernel factorization as any other basis — the
+   slack basis is factorized only for a cold start or as the fallback
+   when the warm basis is malformed or singular — parks
    each nonbasic variable on the bound its reduced-cost sign asks for,
    and — when the result is dual feasible, which it always is after a
    pure bound change on an optimal basis — runs the dual simplex to
@@ -957,14 +959,17 @@ let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none)
       for r = 0 to m - 1 do
         st.vstat.(n + r) <- Basic
       done;
-      (* factorizing the slack identity is trivial for both kernels
-         and cannot be singular; it also recomputes the basics *)
+      (* the slack identity cannot be singular, but factorizing it
+         still costs O(m) LU steps (an O(m^3) Gauss-Jordan on the
+         dense kernel), so it is built only when no warm basis takes
+         its place; this also recomputes the basics *)
       if m > 0 then refactorize st else recompute_basics st
     in
-    reset_to_slack_basis ();
     (* Warm start: install the caller's basis and decide whether the
        dual simplex may run. Any failure (wrong shape, singular
-       columns) falls back to the cold slack basis just built. *)
+       columns) falls back to the cold slack basis. Installation
+       overwrites every basic and nonbasic value, so the state it
+       starts from never matters. *)
     let warm_dual = ref false in
     let warm_installed = ref false in
     (match basis with
@@ -974,7 +979,7 @@ let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none)
         warm_installed := true;
         warm_dual := prepare_warm_nonbasics st
       | exception Singular_basis -> reset_to_slack_basis ())
-    | _ -> ());
+    | _ -> reset_to_slack_basis ());
     if !warm_installed then begin
       Metrics.incr (Lazy.force m_warm_starts);
       if not !warm_dual then begin

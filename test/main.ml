@@ -4,6 +4,7 @@ let () =
       ("util", Test_util.suite);
       ("lp.simplex", Test_lp.suite);
       ("lp.simplex_prop", Test_simplex_prop.suite);
+      ("lp.lu", Test_lu.suite);
       ("lp.mip", Test_mip.suite);
       ("lp.parallel", Test_parallel.suite);
       ("checkpoint", Test_checkpoint.suite);

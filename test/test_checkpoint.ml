@@ -492,6 +492,46 @@ let test_worker_death_supervised () =
     (Printf.sprintf "at least one worker death injected in %d trials" !trials)
     true (!deaths_seen > 0)
 
+(* The pool directly (test/dune compiles the library's mip_pool.ml
+   into the test runner): a worker can also die of an ordinary crash
+   while a chaos wave is still being dealt. Every task here crashes
+   the first worker slot that touches it, so the workers die on their
+   first tasks while the coordinator is still dealing, and lottery
+   hits drawn after the last death have no worker to run them. Every
+   task must still complete, exactly once. *)
+let test_worker_crash_outside_lottery () =
+  let main = Domain.self () in
+  let n = 4000 in
+  let deaths = ref 0 in
+  for trial = 1 to 100 do
+    let crashed = Array.init n (fun _ -> Atomic.make false) in
+    let runs = Array.init n (fun _ -> Atomic.make 0) in
+    let process i =
+      if Domain.self () <> main && not (Atomic.exchange crashed.(i) true) then
+        failwith "worker crash"
+      else Atomic.incr runs.(i)
+    in
+    let pool =
+      Mip_pool.create ~jobs:4
+        ~prngs:(Array.init 4 (fun w -> Prng.create (trial + w)))
+        ~process ~sink:Monpos_obs.Trace.null
+    in
+    let before = worker_failures () in
+    Fun.protect
+      ~finally:(fun () -> Mip_pool.shutdown pool)
+      (fun () ->
+        with_chaos (5000 + trial) (fun () ->
+            Mip_pool.run pool (List.init n Fun.id)));
+    deaths := !deaths + (worker_failures () - before);
+    Array.iteri
+      (fun i r ->
+        if Atomic.get r <> 1 then
+          Alcotest.failf "trial %d: task %d completed %d times" trial i
+            (Atomic.get r))
+      runs
+  done;
+  Alcotest.(check bool) "some workers crashed" true (!deaths > 0)
+
 let suite =
   [
     Alcotest.test_case "container round-trip" `Quick test_container_roundtrip;
@@ -523,4 +563,6 @@ let suite =
       test_preempt_stops_and_resumes;
     Alcotest.test_case "worker death supervised" `Slow
       test_worker_death_supervised;
+    Alcotest.test_case "worker crash outside the lottery" `Quick
+      test_worker_crash_outside_lottery;
   ]
