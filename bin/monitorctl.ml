@@ -29,7 +29,6 @@ module Prng = Monpos_util.Prng
 module Obs_trace = Monpos_obs.Trace
 module Obs_metrics = Monpos_obs.Metrics
 module Mip = Monpos_lp.Mip
-module Simplex = Monpos_lp.Simplex
 module Mincost = Monpos_flow.Mincost
 module Rerror = Monpos_resilience.Error
 module Preempt = Monpos_resilience.Preempt
@@ -331,15 +330,6 @@ let solver_term =
     let doc = "Skip presolve bound tightening before branch and bound." in
     Arg.(value & flag & info [ "no-presolve" ] ~doc)
   in
-  let dense_kernel_arg =
-    let doc =
-      "Run every node LP on the dense explicit-inverse simplex kernel \
-       instead of the sparse LU + eta-file one. Results are identical; \
-       the flag exists for differential testing and to measure the \
-       sparse kernel's speedup."
-    in
-    Arg.(value & flag & info [ "dense-kernel" ] ~doc)
-  in
   let time_limit_arg =
     let doc =
       "Wall-clock budget in seconds for the MIP search. This is a real \
@@ -384,13 +374,12 @@ let solver_term =
       & opt (some float) None
       & info [ "checkpoint-every" ] ~docv:"SECS" ~doc)
   in
-  let make cold no_presolve dense time_limit jobs checkpoint checkpoint_every
+  let make cold no_presolve time_limit jobs checkpoint checkpoint_every
       (base : Mip.options) =
     {
       base with
       Mip.warm_start = not cold;
       presolve = not no_presolve;
-      kernel = (if dense then Simplex.Dense else Simplex.Sparse_lu);
       time_limit = Option.value time_limit ~default:base.Mip.time_limit;
       jobs = Option.value jobs ~default:base.Mip.jobs;
       checkpoint =
@@ -400,7 +389,7 @@ let solver_term =
     }
   in
   Term.(
-    const make $ cold_arg $ no_presolve_arg $ dense_kernel_arg $ time_limit_arg
+    const make $ cold_arg $ no_presolve_arg $ time_limit_arg
     $ jobs_arg $ checkpoint_arg $ checkpoint_every_arg)
 
 let strict_arg =
@@ -1137,10 +1126,12 @@ let resume_cmd =
   in
   let doc =
     "Resume an interrupted $(b,--checkpoint) solve. The search-shaping \
-     options (branching, tolerances, kernel, wave size) come from the \
-     checkpoint — only run-environment knobs can be set here — and the \
-     resumed run reaches a result bit-identical to the uninterrupted \
-     one, for any $(b,--jobs) on either side."
+     options (branching, tolerances, warm start, wave size) come from \
+     the checkpoint — only run-environment knobs can be set here — and \
+     the resumed run reaches a result bit-identical to the \
+     uninterrupted one, for any $(b,--jobs) on either side. Only \
+     checkpoint format version 2 is read; an older file is a parse \
+     error (exit 2)."
   in
   Cmd.v
     (Cmd.info "resume" ~doc ~exits)

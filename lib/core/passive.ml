@@ -218,18 +218,13 @@ let solve_mip ?(k = 1.0) ?(formulation = `Lp2) ?options inst =
       ~method_name:name (extract_monitors xvar x)
   | _ -> Mip.fail ?options ~stage:"Passive.solve_mip" r
 
-let lp_bound ?(k = 1.0) ?kernel ?deadline inst =
+let lp_bound ?(k = 1.0) ?deadline inst =
   Span.run "passive.lp_bound" @@ fun () ->
   (* check before building: constructing LP2 for a large instance is
      itself a visible fraction of a small budget *)
   Option.iter (Deadline.check ~phase:"Passive.lp_bound") deadline;
   let m, _ = build_lp2 ~k ~maximize_coverage:false inst in
-  let options =
-    match kernel with
-    | None -> None
-    | Some kernel -> Some { Simplex.default_options with Simplex.kernel }
-  in
-  let sol = Simplex.solve_model ?options ?deadline m in
+  let sol = Simplex.solve_model ?deadline m in
   match sol.Simplex.status with
   | Simplex.Optimal -> sol.Simplex.objective
   | Simplex.Infeasible ->

@@ -65,16 +65,13 @@ val solve_mip :
 
 val lp_bound :
   ?k:float ->
-  ?kernel:Monpos_lp.Simplex.kernel ->
   ?deadline:Monpos_resilience.Deadline.t ->
   Instance.t ->
   float
 (** Optimal value of the LP relaxation of Linear program 2: a valid
-    lower bound on the minimum device count. [kernel] overrides the
-    simplex linear-algebra kernel (default {!Monpos_lp.Simplex.Sparse_lu});
-    the kernel-comparison bench passes [Dense] here. [deadline] is
-    polled inside the simplex; on expiry raises a typed
-    [Deadline_exceeded]. *)
+    lower bound on the minimum device count, solved on the sparse LU
+    simplex kernel. [deadline] is polled inside the simplex; on expiry
+    raises a typed [Deadline_exceeded]. *)
 
 val randomized_rounding :
   ?k:float ->

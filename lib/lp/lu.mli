@@ -80,5 +80,5 @@ type stats = {
 }
 
 val stats : t -> stats
-(** Fill-in and eta-file accounting, for the observability layer and
-    the kernel-comparison bench. *)
+(** Fill-in and eta-file accounting, for the simplex's
+    [simplex.lu_fill] and [simplex.eta_len] histograms. *)

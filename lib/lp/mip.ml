@@ -38,7 +38,7 @@ let m_g_ck_clock =
 
 (* cumulative seconds this solve spent serializing + atomically
    replacing checkpoint files: the direct numerator of the checkpoint
-   overhead, which the ckoverhead bench gates as a fraction of the
+   overhead, which the bench's overhead phase gates as a fraction of the
    solve wall (a paired wall-clock diff cannot resolve sub-percent
    costs on a shared machine) *)
 let m_g_ck_seconds =
@@ -84,7 +84,6 @@ type ctx = {
   options : options;
   model : Model.t;  (** the presolved model *)
   problem : Simplex.problem;
-  lp_options : Simplex.options;
   deadline : Deadline.t;
   budget : float;
   elapsed_base : float;  (** seconds a resumed run had already spent *)
@@ -184,7 +183,7 @@ let dive ctx node primal0 basis0 =
   let warm basis = if ctx.options.warm_start then Some basis else None in
   let lp basis =
     Simplex.solve ~lower ~upper ?basis:(warm basis) ~deadline:ctx.deadline
-      ~options:ctx.lp_options ctx.problem
+      ctx.problem
   in
   let rec go primal basis fuel =
     if fuel >= 0 then
@@ -258,7 +257,7 @@ let evaluate ctx (t : task) =
   let sol =
     Simplex.solve ~lower:node.lower ~upper:node.upper
       ?basis:(if ctx.options.warm_start then node.start_basis else None)
-      ~deadline:ctx.deadline ~options:ctx.lp_options ctx.problem
+      ~deadline:ctx.deadline ctx.problem
   in
   match sol.Simplex.status with
   | Simplex.Infeasible -> t.t_outcome <- O_infeasible
@@ -761,8 +760,6 @@ let solve_gen ~options ~(restore : Mip_codec.saved option) model =
         options;
         model;
         problem;
-        lp_options =
-          { Simplex.default_options with Simplex.kernel = options.kernel };
         deadline;
         budget;
         elapsed_base;
@@ -828,7 +825,7 @@ let solve ?(options = default_options) model =
 
 (* Options split on resume: the checkpoint owns everything that shapes
    the search tree (branching rule, tolerances, heuristic period, warm
-   start, kernel, wave size) — honoring caller overrides there would
+   start, wave size) — honoring caller overrides there would
    silently break the bit-identity contract. The caller keeps the
    run-environment knobs: jobs (results are jobs-invariant), budgets,
    logging and where the next checkpoint goes (defaulting to

@@ -60,10 +60,6 @@ type options = {
       (** run {!Presolve.reduce} (bound tightening, probing, row
           removal) on the model before branching so every node starts
           from tighter bounds (default [true]) *)
-  kernel : Simplex.kernel;
-      (** linear-algebra kernel for every node LP (default
-          {!Simplex.Sparse_lu}; [Dense] is the slow reference for
-          differential testing, [--dense-kernel] in the CLI) *)
   jobs : int;
       (** worker domains for the branch-and-bound search. [1] (the
           default) keeps everything on the calling domain; [n > 1]
@@ -174,7 +170,7 @@ val resume : ?options:options -> string -> result
 (** [resume path] loads the checkpoint at [path] and continues the
     search to completion (or to this run's limits). The search-shaping
     options are read from the checkpoint — branching rule, tolerances,
-    heuristic period, warm start, kernel, wave size — because honoring
+    heuristic period, warm start, wave size — because honoring
     overrides there would change the explored tree; [options] supplies
     only the run-environment knobs: [jobs], [max_nodes], [time_limit]
     (interpreted as the original run's total budget: the checkpoint's
@@ -192,7 +188,9 @@ val resume : ?options:options -> string -> result
 
     Raises {!Monpos_resilience.Error.Error}: [Io_error] when [path]
     cannot be read, [Parse_error] (with a line number) on truncation,
-    checksum mismatch or an unsupported format version. Raises
+    checksum mismatch or an unsupported format version — this build
+    reads version 2 only; version 1 files, which also recorded a
+    simplex kernel choice, are rejected at line 1. Raises
     [Invalid_argument] when [options.deterministic] is [false]. *)
 
 val fail : ?options:options -> stage:string -> result -> 'a

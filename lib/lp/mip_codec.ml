@@ -30,7 +30,8 @@ open Mip_types
 
 let magic = "monpos-mip-checkpoint"
 
-let version = 1
+(* version 2 dropped the simplex kernel token from the [opts] record *)
+let version = 2
 
 (* everything [Mip.resume] needs to restart the search mid-way *)
 type saved = {
@@ -76,17 +77,13 @@ let write ~path ~model ~options ~elapsed ~incumbent ~prngs st =
        | Model.Minimize -> "min"
        | Model.Maximize -> "max"));
   add
-    (Printf.sprintf "opts %s %s %s %d %s %s %d"
+    (Printf.sprintf "opts %s %s %s %d %s %d"
        (match options.branching with
        | Pseudocost -> "pc"
        | Most_fractional -> "mf")
        (hex options.gap_tolerance)
        (hex options.integrality_tol)
-       options.heuristic_period (flag options.warm_start)
-       (match options.kernel with
-       | Simplex.Sparse_lu -> "sparse"
-       | Simplex.Dense -> "dense")
-       options.wave);
+       options.heuristic_period (flag options.warm_start) options.wave);
   add (Printf.sprintf "elapsed %s" (hex elapsed));
   add (Printf.sprintf "vars %d" n);
   for v = 0 to n - 1 do
@@ -218,7 +215,7 @@ let field rd what conv =
 
 let decode_options rd =
   match toks rd "opts" with
-  | [ "opts"; br; gap; itol; heur; warm; kernel; wave ], i ->
+  | [ "opts"; br; gap; itol; heur; warm; wave ], i ->
     {
       default_options with
       branching =
@@ -230,11 +227,6 @@ let decode_options rd =
       integrality_tol = pfloat rd i itol;
       heuristic_period = pint rd i heur;
       warm_start = pbool rd i warm;
-      kernel =
-        (match kernel with
-        | "sparse" -> Simplex.Sparse_lu
-        | "dense" -> Simplex.Dense
-        | _ -> fail rd i (Printf.sprintf "bad kernel %S" kernel));
       wave = pint rd i wave;
       presolve = false;
     }

@@ -13,7 +13,6 @@ type options = {
   heuristic_period : int;
   warm_start : bool;
   presolve : bool;
-  kernel : Simplex.kernel;
   jobs : int;
   deterministic : bool;
   wave : int;
@@ -38,7 +37,6 @@ let default_options =
     heuristic_period = 16;
     warm_start = true;
     presolve = true;
-    kernel = Simplex.Sparse_lu;
     jobs = env_jobs ();
     deterministic = true;
     wave = 16;

@@ -7,17 +7,17 @@
    [a.x + s = b] with slack bounds [0,inf) / (-inf,0] / [0,0], so the
    initial slack basis is the identity.
 
-   Kernels: the default [Sparse_lu] kernel keeps the basis as a
-   Markowitz LU factorization plus a product-form eta file ({!Lu});
-   FTRAN/BTRAN and the dual phase's row extraction run on sparse,
-   indexed work vectors, so a pivot costs O(nonzeros) instead of
-   O(m^2) and a refactorization costs O(fill) instead of the O(m^3)
-   Gauss-Jordan of the [Dense] explicit-inverse kernel. The dense
-   kernel is kept behind [options.kernel] for differential testing
-   and as the numerical reference. Refactorization is adaptive: the
-   LU path refactorizes when the eta file outgrows the factorization
-   (eta count or accumulated fill), the dense path after a pivot
-   count derived from m — both overridable via [options.refactor_every].
+   Kernels: the [Sparse_lu] kernel keeps the basis as a Markowitz LU
+   factorization plus a product-form eta file ({!Lu}); FTRAN/BTRAN
+   and the dual phase's row extraction run on sparse, indexed work
+   vectors, so a pivot costs O(nonzeros) instead of O(m^2) and a
+   refactorization costs O(fill) instead of the O(m^3) Gauss-Jordan
+   of the [Dense] explicit-inverse kernel. Production code runs only
+   the LU kernel; the dense one is reachable through [options.kernel]
+   as the oracle of the dense-vs-sparse differential test.
+   Refactorization is adaptive: the LU path refactorizes when the eta
+   file outgrows the factorization (eta count or accumulated fill),
+   the dense path after a pivot count derived from m.
 
    Warm starts: [solve ?basis] installs a caller-supplied basic set
    (typically the parent branch-and-bound node's optimal basis)
@@ -122,9 +122,9 @@ type solution = {
 
 type kernel = Dense | Sparse_lu
 
-type options = { kernel : kernel; refactor_every : int option }
+type options = { kernel : kernel }
 
-let default_options = { kernel = Sparse_lu; refactor_every = None }
+let default_options = { kernel = Sparse_lu }
 
 let num_rows p = p.m
 
@@ -404,8 +404,8 @@ let refactorize st =
 (* Refactorization cadence. The LU kernel asks its own eta file (count
    and accumulated fill); the dense kernel refactorizes after a pivot
    count derived from m — small bases drift fast and are cheap to
-   rebuild. [refactor_override] (options or the numerical-recovery
-   path) forces a cadence / eta limit. *)
+   rebuild. [refactor_override] (set by the numerical-recovery path)
+   forces a cadence / eta limit. *)
 let need_refactor st =
   match st.kern with
   | Kdense _ ->
@@ -919,7 +919,7 @@ let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none)
         degenerate_run = 0;
         bland = false;
         pivots_since_factor = 0;
-        refactor_override = options.refactor_every;
+        refactor_override = None;
       }
     in
     (* (re)start from the all-slack basis; used both for the initial
@@ -1103,11 +1103,7 @@ let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none)
       | exception Singular_basis ->
         st.bland <- true;
         st.degenerate_run <- 0;
-        st.refactor_override <-
-          Some
-            (match st.refactor_override with
-            | Some k -> min k 64
-            | None -> 64);
+        st.refactor_override <- Some 64;
         (* the restart must not itself be sabotaged by an injected
            fault, so chaos is suppressed for its whole duration *)
         Chaos.suppress (fun () ->

@@ -20,6 +20,13 @@
      node counters): deterministic under fixed seeds, so anything
      beyond ±1% relative regresses.
 
+   Gates ("*_gate*" extras, 0/1 verdicts the bench derives itself)
+   read absolutely, not against the baseline: a current gate that is
+   not 1 is a finding whatever the baseline says, so a baseline
+   recorded on a failing run cannot disarm its own gate. A gate the
+   run could not measure is written as null and listed as not
+   evaluated: neither a pass nor a finding.
+
    Missing phases are reported but do not regress (the caller may have
    run a subset); a metric present in the baseline but absent from the
    current run does regress — silently dropping a guarded number is
@@ -44,6 +51,7 @@ type report = {
   tolerated : finding list;
   chaos_seed : int option;
   missing_phases : string list;
+  unevaluated : (string * string) list;
 }
 
 let contains ~sub s =
@@ -52,6 +60,8 @@ let contains ~sub s =
   n = 0 || go 0
 
 type klass = Time | Ratio | Exact | Sched
+
+let is_gate key = contains ~sub:"_gate" key
 
 let classify key =
   if
@@ -124,6 +134,41 @@ let numerics p field =
       (fun (k, v) -> Option.map (fun f -> (k, f)) (Json.as_float v))
       kvs
 
+let extras_of p =
+  Option.value (Option.bind (Json.member "extras" p) Json.as_obj) ~default:[]
+
+(* The phase's gates, read on the current run alone: a gate other
+   than 1 is a finding, a null one is not evaluated, and a baseline
+   gate the phase no longer writes is missing. Returns (gates judged,
+   findings, gates not evaluated). *)
+let check_gates ~phase ~base_extras cur =
+  let cur_extras = extras_of cur in
+  let judged = ref 0 and findings = ref [] and unevaluated = ref [] in
+  let finding k baseline current limit =
+    findings := { phase; key = "extras." ^ k; baseline; current; limit } :: !findings
+  in
+  List.iter
+    (fun (k, v) ->
+      if is_gate k then
+        match Json.as_float v with
+        | Some f when Float.is_finite f ->
+          incr judged;
+          if f <> 1.0 then
+            finding k
+              (Option.value ~default:nan
+                 (Option.bind (List.assoc_opt k base_extras) Json.as_float))
+              (Some f) "gate = 1"
+        | _ -> unevaluated := (phase, "extras." ^ k) :: !unevaluated)
+    cur_extras;
+  List.iter
+    (fun (k, v) ->
+      match Json.as_float v with
+      | Some b when is_gate k && not (List.mem_assoc k cur_extras) ->
+        finding k b None "missing"
+      | _ -> ())
+    base_extras;
+  (!judged, List.rev !findings, List.rev !unevaluated)
+
 let compare_phase ~base ~cur =
   let phase = phase_name base in
   let compared = ref 0 and findings = ref [] in
@@ -144,10 +189,14 @@ let compare_phase ~base ~cur =
       let cur_kvs = numerics cur field in
       List.iter
         (fun (key, base_v) ->
-          pair (field ^ "." ^ key) base_v (List.assoc_opt key cur_kvs))
+          if not (is_gate key) then
+            pair (field ^ "." ^ key) base_v (List.assoc_opt key cur_kvs))
         (numerics base field))
     [ "extras"; "metrics" ];
-  (!compared, List.rev !findings)
+  let gates, gate_findings, unevaluated =
+    check_gates ~phase ~base_extras:(extras_of base) cur
+  in
+  (!compared + gates, List.rev !findings @ gate_findings, unevaluated)
 
 let compare_reports ~baseline ~current =
   let ( let* ) = Result.bind in
@@ -189,6 +238,12 @@ let compare_reports ~baseline ~current =
         | _ -> None
       in
       let compared = ref 0 and findings = ref [] and missing = ref [] in
+      let unevaluated = ref [] in
+      let add (n, fs, us) =
+        compared := !compared + n;
+        findings := !findings @ fs;
+        unevaluated := !unevaluated @ us
+      in
       List.iter
         (fun bp ->
           let name = phase_name bp in
@@ -196,11 +251,15 @@ let compare_reports ~baseline ~current =
             List.find_opt (fun cp -> phase_name cp = name) cur_phases
           with
           | None -> missing := name :: !missing
-          | Some cp ->
-            let n, fs = compare_phase ~base:bp ~cur:cp in
-            compared := !compared + n;
-            findings := !findings @ fs)
+          | Some cp -> add (compare_phase ~base:bp ~cur:cp))
         base_phases;
+      (* a phase the baseline lacks still has its gates read *)
+      List.iter
+        (fun cp ->
+          let name = phase_name cp in
+          if not (List.exists (fun bp -> phase_name bp = name) base_phases)
+          then add (check_gates ~phase:name ~base_extras:[] cp))
+        cur_phases;
       let findings, tolerated =
         match chaos_seed with
         | Some _ -> ([], !findings)
@@ -213,6 +272,7 @@ let compare_reports ~baseline ~current =
           tolerated;
           chaos_seed;
           missing_phases = List.rev !missing;
+          unevaluated = !unevaluated;
         }
 
 let finding_table fs =
@@ -223,7 +283,8 @@ let finding_table fs =
          [
            f.phase;
            f.key;
-           Printf.sprintf "%.6g" f.baseline;
+           (if Float.is_nan f.baseline then "-"
+            else Printf.sprintf "%.6g" f.baseline);
            (match f.current with
            | Some c -> Printf.sprintf "%.6g" c
            | None -> "(missing)");
@@ -237,6 +298,12 @@ let render r =
     Buffer.add_string b
       (Printf.sprintf "note: baseline phase(s) not in this run: %s\n"
          (String.concat ", " r.missing_phases));
+  List.iter
+    (fun (phase, key) ->
+      Buffer.add_string b
+        (Printf.sprintf "not evaluated: %s %s (neither passed nor failed)\n"
+           phase key))
+    r.unevaluated;
   (match (r.chaos_seed, r.tolerated) with
   | None, _ -> ()
   | Some seed, [] ->

@@ -8,7 +8,12 @@
     other numbers (device counts, coverage, pivot/node counters —
     deterministic under fixed seeds) tolerate ±1%. A metric present in
     the baseline but missing from the current run is a finding;
-    baseline phases the current run skipped are only noted. *)
+    baseline phases the current run skipped are only noted.
+
+    Gates (["*_gate*"] extras, the bench's own 0/1 verdicts) read
+    absolutely: a current gate other than 1 is a finding whatever the
+    baseline holds, and one written as null (the run could not
+    measure it) is listed in {!report.unevaluated}, never passed. *)
 
 type finding = {
   phase : string;
@@ -31,6 +36,9 @@ type report = {
       (** the current report's ["chaos_seed"] field, when the run was
           chaotic *)
   missing_phases : string list;
+  unevaluated : (string * string) list;
+      (** (phase, key) of every gate the current run wrote as null:
+          not evaluated, so neither a pass nor a finding *)
 }
 
 val compare_reports :

@@ -331,76 +331,6 @@ let test_warm_start_determinism () =
     [ ("cold", cold); ("warm", warm) ]
 
 (* ------------------------------------------------------------------ *)
-(* kernel agreement on the paper's seed instances                      *)
-
-(* The linear-algebra kernel must be invisible in the answers: the
-   dense explicit-inverse and sparse LU + eta-file kernels must agree
-   on the objective-defining quantities of the seed PPM, PPME and
-   beacon solves — with warm starts on, so the eta file and the
-   warm-basis factorization path are both exercised. As with warm
-   starts, alternative optima may differ in the raw index sets. *)
-let test_kernel_agreement () =
-  let opts kernel = { Mip.default_options with Mip.kernel } in
-  let pop = Pop.make_preset `Pop10 ~seed:1 in
-  let inst = Instance.of_pop pop ~seed:131 in
-  List.iter
-    (fun k ->
-      let dense =
-        Passive.solve_mip ~k ~options:(opts Monpos_lp.Simplex.Dense) inst
-      in
-      let sparse =
-        Passive.solve_mip ~k ~options:(opts Monpos_lp.Simplex.Sparse_lu) inst
-      in
-      let name tag = Printf.sprintf "ppm k=%.1f kernels %s" k tag in
-      Alcotest.(check bool) (name "optimal") dense.Passive.optimal
-        sparse.Passive.optimal;
-      Alcotest.(check int) (name "devices") dense.Passive.count
-        sparse.Passive.count;
-      (* the LP relaxation bound must agree too, not only the MIP *)
-      check_float (name "lp bound")
-        (Passive.lp_bound ~k ~kernel:Monpos_lp.Simplex.Dense inst)
-        (Passive.lp_bound ~k ~kernel:Monpos_lp.Simplex.Sparse_lu inst))
-    [ 1.0; 0.8 ];
-  let milp kernel =
-    {
-      Sampling.default_milp_options with
-      Mip.kernel;
-      gap_tolerance = 1e-9;
-      time_limit = 120.0;
-    }
-  in
-  let pb = Sampling.make_problem ~k:0.9 inst in
-  let dense = Sampling.solve_milp ~options:(milp Monpos_lp.Simplex.Dense) pb in
-  let sparse =
-    Sampling.solve_milp ~options:(milp Monpos_lp.Simplex.Sparse_lu) pb
-  in
-  Alcotest.(check bool) "ppme kernels optimal" dense.Sampling.optimal
-    sparse.Sampling.optimal;
-  check_float "ppme kernels total cost" dense.Sampling.total_cost
-    sparse.Sampling.total_cost;
-  check_float "ppme kernels coverage" dense.Sampling.fraction
-    sparse.Sampling.fraction;
-  let pop15 = Pop.make_preset `Pop15 ~seed:1 in
-  let routers = Array.of_list (Pop.routers pop15) in
-  let rng = Monpos_util.Prng.create 7 in
-  Monpos_util.Prng.shuffle rng routers;
-  let vb = List.sort compare (Array.to_list (Array.sub routers 0 10)) in
-  let probes =
-    Active.compute_probes ~targets:vb pop15.Pop.graph ~candidates:vb
-  in
-  let dense =
-    Active.place_ilp ~options:(opts Monpos_lp.Simplex.Dense) probes
-      ~candidates:vb
-  in
-  let sparse =
-    Active.place_ilp ~options:(opts Monpos_lp.Simplex.Sparse_lu) probes
-      ~candidates:vb
-  in
-  Alcotest.(check int) "beacon count kernels"
-    (List.length dense.Active.beacons)
-    (List.length sparse.Active.beacons)
-
-(* ------------------------------------------------------------------ *)
 (* loosened integrality tolerance (pseudocost denominator clamp)       *)
 
 (* With the default tolerance the fractional part recorded at a branch
@@ -486,8 +416,6 @@ let suite =
     Alcotest.test_case "solve_or_fail" `Quick test_solve_or_fail;
     Alcotest.test_case "warm-start determinism (seed instances)" `Quick
       test_warm_start_determinism;
-    Alcotest.test_case "kernel agreement (seed instances)" `Quick
-      test_kernel_agreement;
     Alcotest.test_case "loosened integrality tolerance stays sane" `Quick
       test_loose_integrality_tol;
     QCheck_alcotest.to_alcotest prop_matches_brute_force;

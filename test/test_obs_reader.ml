@@ -464,6 +464,38 @@ let test_bench_check () =
   (match Bench_check.compare_reports ~baseline ~current:(bench_doc ~mode:"full" []) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "cross-mode comparison accepted");
+  (* gates read absolutely: a failed gate is a finding even against a
+     baseline that failed too, and a null gate (nan, written as null)
+     is listed as not evaluated, never passed *)
+  let reparse phases =
+    match Json.parse (Json.to_string (bench_doc phases)) with
+    | Ok d -> d
+    | Error e -> Alcotest.fail e
+  in
+  let gate v = [ ("overhead", 1.0, [ ("x_gate", v) ]) ] in
+  let g = [ ("overhead", "extras.x_gate") ] in
+  List.iter
+    (fun (what, base, cur, findings, unevaluated) ->
+      match Bench_check.compare_reports ~baseline:(reparse base) ~current:(reparse cur) with
+      | Ok r ->
+        let keys = List.map (fun f -> (f.Bench_check.phase, f.Bench_check.key)) in
+        Alcotest.(check (list (pair string string))) (what ^ ": findings") findings
+          (keys r.Bench_check.findings);
+        Alcotest.(check (list (pair string string))) (what ^ ": not evaluated") unevaluated
+          r.Bench_check.unevaluated;
+        Alcotest.(check bool) (what ^ ": rendered") (unevaluated <> [])
+          (Astring.String.is_infix ~affix:"not evaluated" (Bench_check.render r))
+      | Error e -> Alcotest.fail e)
+    [
+      ("0 vs baseline 0", gate 0.0, gate 0.0, g, []);
+      ("0 vs baseline 1", gate 1.0, gate 0.0, g, []);
+      ("1 vs baseline 0", gate 0.0, gate 1.0, [], []);
+      ("0, phase new to the baseline", [], gate 0.0, g, []);
+      ("0, gate new to the phase", [ ("overhead", 1.0, []) ], gate 0.0, g, []);
+      ("dropped gate", gate 1.0, [ ("overhead", 1.0, []) ], g, []);
+      ("null vs baseline 1", gate 1.0, gate nan, [], g);
+      ("null vs null baseline", gate nan, gate nan, [], g);
+    ];
   (* a chaotic current run: violations are reported but tolerated *)
   let chaotic =
     bench_doc ~chaos_seed:7

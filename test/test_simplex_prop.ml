@@ -196,10 +196,9 @@ let test_explicit_slack_basis () =
 (* ------------------------------------------------------------------ *)
 (* dense vs sparse-LU kernel differential                              *)
 
-let dense_opts = { Simplex.default_options with Simplex.kernel = Simplex.Dense }
+let dense_opts = { Simplex.kernel = Simplex.Dense }
 
-let sparse_opts =
-  { Simplex.default_options with Simplex.kernel = Simplex.Sparse_lu }
+let sparse_opts = { Simplex.kernel = Simplex.Sparse_lu }
 
 (* A basic solution is non-degenerate when every basic variable sits
    strictly inside its bounds and every nonbasic variable has a
