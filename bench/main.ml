@@ -851,9 +851,11 @@ let parscale () =
    worst-case cadence; the production default is one write per
    minute). All three solve the identical deterministic tree. One
    untimed pass absorbs cold-code and page-cache effects; the reps
-   then run as adjacent plain/recorder/checkpoint triples, so
-   background-load drift hits every configuration of a triple. Each
-   gate keeps its own estimator:
+   then run as adjacent triples, so background-load drift hits every
+   configuration of a triple, and the order rotates from triple to
+   triple (plain/recorder/checkpoint, recorder/checkpoint/plain,
+   checkpoint/plain/recorder), so no configuration always runs in
+   the same slot. Each gate keeps its own estimator:
 
    - recorder < 5%: the least-contaminated pair's wall ratio. Load
      only ever inflates a pair, and a recorder that really cost 10%
@@ -862,7 +864,12 @@ let parscale () =
      serializing and atomically replacing the file (worst rep), over
      the best checkpointed wall. Run-to-run noise on a shared machine
      is several percent of the solve, far above the true cost, so the
-     paired wall diff is printed for context but cannot gate. *)
+     paired wall diff is printed for context but cannot gate.
+
+   The plain solve also reports its LU cadence (ROADMAP item 1):
+   refactorizations per simplex solve (< 0.3) and the share of the
+   solve spent in [lu_factor] (< 30%, read on the fastest plain
+   rep). *)
 let overhead () =
   section "Overhead — flight recorder and every-wave checkpoints vs plain";
   let module Flightrec = Monpos_obs.Flightrec in
@@ -885,31 +892,59 @@ let overhead () =
   let solve options () = ignore (Passive.solve_mip ~k:0.93 ~options inst) in
   let reps = if full_mode then 4 else 3 in
   let events = ref 0 and writes = ref 0 and write_seconds = ref 0.0 in
-  let timed ?(recorder = false) options =
+  let span_sum snap name =
+    match Metrics.find ~labels:[ ("span", name) ] snap "span.seconds" with
+    | Some (Metrics.Histogram_value { sum; _ }) -> sum
+    | _ -> 0.0
+  in
+  (* (wall, refactorizations per solve, lu_factor share) per plain rep *)
+  let plain_reps = ref [] in
+  let timed config =
     Metrics.reset Metrics.default;
-    if recorder then begin
+    match config with
+    | `Plain ->
+      let secs = snd (wall (solve plain)) in
+      let snap = Metrics.snapshot Metrics.default in
+      let per_solve =
+        float_of_int (counter snap "simplex.refactorizations")
+        /. float_of_int (max 1 (Metrics.sum_counter snap "simplex.solves"))
+      in
+      let share =
+        span_sum snap "lu_factor" /. Float.max 1e-9 (span_sum snap "mip.solve")
+      in
+      plain_reps := (secs, per_solve, share) :: !plain_reps;
+      secs
+    | `Recorder ->
       let r = Flightrec.install () in
       Trace.set_current (Flightrec.sink r);
-      let (), secs = wall (solve options) in
+      let (), secs = wall (solve plain) in
       Trace.set_current Trace.null;
       events := Flightrec.events_seen r;
       Flightrec.uninstall ();
       secs
-    end
-    else snd (wall (solve options))
+    | `Ckpt ->
+      let secs = snd (wall (solve ckpt)) in
+      let snap = Metrics.snapshot Metrics.default in
+      writes := Metrics.sum_counter snap "checkpoint.writes";
+      (match Metrics.find snap "checkpoint.write_seconds" with
+      | Some (Metrics.Gauge_value s) -> write_seconds := Float.max !write_seconds s
+      | _ -> ());
+      secs
+  in
+  let orders =
+    [|
+      [ `Plain; `Recorder; `Ckpt ];
+      [ `Recorder; `Ckpt; `Plain ];
+      [ `Ckpt; `Plain; `Recorder ];
+    |]
   in
   solve plain ();
   let triples = ref [] in
-  for _ = 1 to reps do
-    let p = timed plain in
-    let r = timed ~recorder:true plain in
-    let c = timed ckpt in
-    let snap = Metrics.snapshot Metrics.default in
-    writes := Metrics.sum_counter snap "checkpoint.writes";
-    (match Metrics.find snap "checkpoint.write_seconds" with
-    | Some (Metrics.Gauge_value s) -> write_seconds := Float.max !write_seconds s
-    | _ -> ());
-    triples := (p, r, c) :: !triples
+  for rep = 0 to reps - 1 do
+    let walls = List.map (fun c -> (c, timed c)) orders.(rep mod Array.length orders) in
+    triples :=
+      (List.assoc `Plain walls, List.assoc `Recorder walls, List.assoc `Ckpt walls)
+      :: !triples
   done;
   (try Sys.remove ck_path with Sys_error _ -> ());
   let best f = List.fold_left (fun m t -> Float.min m (f t)) infinity !triples in
@@ -919,7 +954,13 @@ let overhead () =
   and secs_ckpt = best (fun (_, _, c) -> c) in
   let obs_pct = best (fun (p, r, _) -> pct r p) in
   let ck_pct = 100.0 *. (!write_seconds /. Float.max 1e-9 secs_ckpt) in
+  let _, refactor_per_solve, lu_share =
+    List.fold_left
+      (fun ((w, _, _) as acc) ((w', _, _) as rep) -> if w' < w then rep else acc)
+      (infinity, nan, nan) !plain_reps
+  in
   let obs_ok = obs_pct < 5.0 and ck_ok = ck_pct < 3.0 in
+  let refactor_ok = refactor_per_solve < 0.3 and lu_ok = lu_share < 0.30 in
   Table.print
     ~header:[ "config"; "best-of wall s"; "events"; "writes"; "write s" ]
     [
@@ -930,10 +971,10 @@ let overhead () =
         string_of_int !writes; Printf.sprintf "%.4f" !write_seconds ];
     ];
   note
-    "identical deterministic solves, %d interleaved plain/recorder/checkpoint\n\
-     triples (best-of walls). Recorder: least-contaminated-pair overhead.\n\
-     Checkpoint: measured write seconds / checkpointed wall (wall-pair\n\
-     delta %+.2f%% shown for context, too noisy to gate)."
+    "identical deterministic solves, %d plain/recorder/checkpoint triples in\n\
+     rotating order (best-of walls). Recorder: least-contaminated-pair\n\
+     overhead. Checkpoint: measured write seconds / checkpointed wall\n\
+     (wall-pair delta %+.2f%% shown for context, too noisy to gate)."
     reps (best (fun (p, _, c) -> pct c p));
   if obs_ok then
     note "flight-recorder overhead %.2f%% (gate < 5%%): OK" obs_pct
@@ -943,6 +984,12 @@ let overhead () =
   else
     note "!! checkpoint overhead %.3f%% of the solve exceeds the 3%% gate"
       ck_pct;
+  note "plain solve: %.3f refactorizations per simplex solve (gate < 0.3): %s"
+    refactor_per_solve
+    (if refactor_ok then "OK" else "!! FAIL");
+  note "plain solve: lu_factor %.1f%% of mip.solve (gate < 30%%): %s"
+    (100.0 *. lu_share)
+    (if lu_ok then "OK" else "!! FAIL");
   kv_float "waxman600_seconds_plain" secs_plain;
   kv_float "waxman600_seconds_recorder" secs_recorder;
   kv_float "waxman600_seconds_ckpt" secs_ckpt;
@@ -952,7 +999,11 @@ let overhead () =
   kv "ckoverhead_writes" (Json.Int !writes);
   kv_float "ckoverhead_write_seconds" !write_seconds;
   kv_float "ckoverhead_pct" ck_pct;
-  kv_float "ckoverhead_gate" (if ck_ok then 1.0 else 0.0)
+  kv_float "ckoverhead_gate" (if ck_ok then 1.0 else 0.0);
+  kv_float "refactor_per_solve" refactor_per_solve;
+  kv_float "refactor_gate" (if refactor_ok then 1.0 else 0.0);
+  kv_float "lu_factor_share" lu_share;
+  kv_float "lufactor_gate" (if lu_ok then 1.0 else 0.0)
 
 (* §7 extension: measurement campaigns *)
 let campaign () =

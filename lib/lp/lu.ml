@@ -48,6 +48,7 @@ type t = {
   mutable etas : eta array;
   mutable n_eta : int;
   mutable eta_nnz : int;
+  mutable truncations : int; (* truncations that dropped etas: stamps marks *)
 }
 
 type stats = {
@@ -177,6 +178,7 @@ let factor ~m ~col =
       etas = [||];
       n_eta = 0;
       eta_nnz = 0;
+      truncations = 0;
     }
   else begin
     let rows = Array.init m (fun _ -> row_create ()) in
@@ -429,6 +431,7 @@ let factor ~m ~col =
       etas = [||];
       n_eta = 0;
       eta_nnz = 0;
+      truncations = 0;
     }
   end
 
@@ -545,6 +548,23 @@ let append_eta t ~r ~alpha =
   t.eta_nnz <- t.eta_nnz + !count + 1
 
 let eta_count t = t.n_eta
+
+(* A mark is the eta file's length and fill at one instant. Etas are
+   only ever appended, so every eta below a mark stays as it was until
+   a truncation drops some of them; [truncations] stamps the marks
+   that such a truncation makes meaningless. *)
+type mark = { mk_eta : int; mk_nnz : int; mk_truncations : int }
+
+let mark t = { mk_eta = t.n_eta; mk_nnz = t.eta_nnz; mk_truncations = t.truncations }
+
+let truncate t mk =
+  if mk.mk_truncations <> t.truncations || mk.mk_eta > t.n_eta then
+    invalid_arg "Lu.truncate: the mark does not belong to this eta file";
+  if mk.mk_eta < t.n_eta then begin
+    t.n_eta <- mk.mk_eta;
+    t.eta_nnz <- mk.mk_nnz;
+    t.truncations <- t.truncations + 1
+  end
 
 let should_refactor ?eta_limit t =
   let limit =

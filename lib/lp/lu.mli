@@ -30,7 +30,13 @@
     file grows with every pivot, so {!should_refactor} signals when
     rebuilding the factorization is cheaper than dragging the file
     along — driven by eta count {e and} accumulated eta fill, not a
-    fixed iteration modulo. *)
+    fixed iteration modulo.
+
+    A factorization outlives the solve that built it: a
+    {!Simplex.session} carries it, eta file included, into its next
+    re-solve, so the eta file and its refactorization cadence span
+    solves. {!mark} and {!truncate} undo the etas of a re-solve whose
+    result the caller throws away, in O(1). *)
 
 exception Singular
 (** The basis columns are (numerically) linearly dependent. *)
@@ -65,6 +71,19 @@ val append_eta : t -> r:int -> alpha:Sparse_vec.t -> unit
 
 val eta_count : t -> int
 (** Etas appended since the factorization was built. *)
+
+type mark
+(** The length of an eta file at one instant. *)
+
+val mark : t -> mark
+
+val truncate : t -> mark -> unit
+(** [truncate t mk] drops every eta appended since [mk] was taken, so
+    [t] represents the basis it represented then. O(1). A mark is
+    meaningful only for the factorization it was taken on. A
+    truncation that drops etas invalidates every mark taken before
+    it, [mk] included; truncating to such a mark raises
+    [Invalid_argument]. *)
 
 val should_refactor : ?eta_limit:int -> t -> bool
 (** Whether the eta file has grown past the point where refactorizing

@@ -97,6 +97,9 @@ type ctx = {
   integral_objective : bool;
   incumbent : Incumbent.t;
   prngs : Prng.t array;  (** per-slot steal-victim streams *)
+  model_lines : string list Lazy.t;
+      (** the model's checkpoint records, encoded at the first write;
+          forced on the coordinating domain only *)
 }
 
 let to_score ctx obj = if ctx.minimize then obj else -.obj
@@ -175,15 +178,18 @@ let publish_candidate ctx ~key primal score =
    feasibility) until the LP relaxation comes out integral. Much more
    reliable than one-shot rounding on covering-type programs, where
    rounding fractional openings down is almost always infeasible.
-   Runs entirely on the domain that owns the node; the candidate is
+   Runs entirely on the domain that owns the node, on the session
+   that solved the node LP: each step starts from the previous step's
+   final basis, so it keeps that step's factorization, and a failed
+   fix is rolled back so the retry keeps it too. The candidate is
    published under key (node seq, 1) so the incumbent order covers
    it. *)
-let dive ctx node primal0 basis0 =
+let dive ctx sess node primal0 basis0 =
   let lower = Array.copy node.lower and upper = Array.copy node.upper in
   let warm basis = if ctx.options.warm_start then Some basis else None in
   let lp basis =
-    Simplex.solve ~lower ~upper ?basis:(warm basis) ~deadline:ctx.deadline
-      ctx.problem
+    Simplex.resolve ~lower ~upper ?basis:(warm basis) ~deadline:ctx.deadline
+      sess
   in
   let rec go primal basis fuel =
     if fuel >= 0 then
@@ -204,6 +210,7 @@ let dive ctx node primal0 basis0 =
           else begin
             lower.(v) <- saved_l;
             upper.(v) <- saved_u;
+            Simplex.rollback sess;
             None
           end
         in
@@ -254,10 +261,16 @@ let evaluate ctx (t : task) =
      poisoning at merge) and every LP solve outside the search. *)
   Chaos.suppress @@ fun () ->
   let node = t.t_node in
+  (* The node LP factorizes its start basis fresh on a new session,
+     so its arithmetic is the stored node's alone; the dive then
+     carries that session's factorization. The session never leaves
+     this task, so no factorization crosses tasks, domains or a
+     checkpoint. *)
+  let sess = Simplex.session ctx.problem in
   let sol =
-    Simplex.solve ~lower:node.lower ~upper:node.upper
+    Simplex.resolve ~lower:node.lower ~upper:node.upper
       ?basis:(if ctx.options.warm_start then node.start_basis else None)
-      ~deadline:ctx.deadline ctx.problem
+      ~deadline:ctx.deadline sess
   in
   match sol.Simplex.status with
   | Simplex.Infeasible -> t.t_outcome <- O_infeasible
@@ -275,7 +288,7 @@ let evaluate ctx (t : task) =
          Incumbent); (node.seq, 1) bounds every candidate the dive
          could offer from below *)
       if t.t_dive && worth ctx ~key:(node.seq, 1) raw then
-        dive ctx node sol.Simplex.primal sol.Simplex.basis);
+        dive ctx sess node sol.Simplex.primal sol.Simplex.basis);
     t.t_outcome <-
       O_optimal { raw; primal = sol.Simplex.primal; basis = sol.Simplex.basis }
 
@@ -587,7 +600,8 @@ let write_checkpoint ctx r =
   | None -> ()
   | Some path ->
     let t0 = Clock.now () in
-    Mip_codec.write ~path ~model:ctx.model ~options:ctx.options
+    Mip_codec.write ~path ~model:ctx.model
+      ~model_lines:(Lazy.force ctx.model_lines) ~options:ctx.options
       ~elapsed:(ctx.elapsed_base +. Deadline.elapsed ctx.deadline)
       ~incumbent:(Incumbent.get ctx.incumbent)
       ~prngs:ctx.prngs r.st;
@@ -785,6 +799,7 @@ let solve_gen ~options ~(restore : Mip_codec.saved option) model =
           | _ ->
             let base = Prng.create 0x6d6f6e50 in
             Array.init jobs (fun _ -> Prng.split base));
+        model_lines = lazy (Mip_codec.model_lines model);
       }
     in
     let st =

@@ -30,8 +30,10 @@ open Mip_types
 
 let magic = "monpos-mip-checkpoint"
 
-(* version 2 dropped the simplex kernel token from the [opts] record *)
-let version = 2
+(* version 2 dropped the simplex kernel token from the [opts] record;
+   version 3 writes each open node's bounds as a diff against the
+   model's *)
+let version = 3
 
 (* everything [Mip.resume] needs to restart the search mid-way *)
 type saved = {
@@ -55,36 +57,42 @@ let hex x =
 
 let flag b = if b then "1" else "0"
 
-(* encode the search state and atomically replace the file at [path] *)
-let write ~path ~model ~options ~elapsed ~incumbent ~prngs st =
+(* Body lines, collected in reverse; [buf] holds the line being built. *)
+type out = { mutable lines : string list; buf : Buffer.t }
+
+let out () = { lines = []; buf = Buffer.create 256 }
+
+let add o l = o.lines <- l :: o.lines
+
+let add_word o s =
+  Buffer.add_char o.buf ' ';
+  Buffer.add_string o.buf s
+
+let flush_line o =
+  add o (Buffer.contents o.buf);
+  Buffer.clear o.buf
+
+(* " <i>" appended in decimal without building a string: a frontier
+   node's basis is one such word per row *)
+let add_int o i =
+  Buffer.add_char o.buf ' ';
+  if i < 0 || i >= 10_000_000 then Buffer.add_string o.buf (string_of_int i)
+  else begin
+    let rec digits d = if d * 10 > i then d else digits (d * 10) in
+    let d = ref (digits 1) in
+    while !d > 0 do
+      Buffer.add_char o.buf (Char.unsafe_chr (48 + (i / !d mod 10)));
+      d := !d / 10
+    done
+  end
+
+(* The vars/v/constrs/c records. The model is fixed for a whole solve
+   and is most of a checkpoint's text, so [Mip] encodes it once per
+   solve and hands the lines to every [write]. *)
+let model_lines model =
   let n = Model.num_vars model in
-  let lines = ref [] in
-  let add l = lines := l :: !lines in
-  let buf = Buffer.create 256 in
-  let flush_line () =
-    let s = Buffer.contents buf in
-    Buffer.clear buf;
-    add s
-  in
-  let add_word s =
-    Buffer.add_char buf ' ';
-    Buffer.add_string buf s
-  in
-  let add_floats a = Array.iter (fun x -> add_word (hex x)) a in
-  add
-    (Printf.sprintf "dir %s"
-       (match Model.direction model with
-       | Model.Minimize -> "min"
-       | Model.Maximize -> "max"));
-  add
-    (Printf.sprintf "opts %s %s %s %d %s %d"
-       (match options.branching with
-       | Pseudocost -> "pc"
-       | Most_fractional -> "mf")
-       (hex options.gap_tolerance)
-       (hex options.integrality_tol)
-       options.heuristic_period (flag options.warm_start) options.wave);
-  add (Printf.sprintf "elapsed %s" (hex elapsed));
+  let o = out () in
+  let buf = o.buf and add = add o and add_word = add_word o in
   add (Printf.sprintf "vars %d" n);
   for v = 0 to n - 1 do
     let hv = Model.var_of_index model v in
@@ -110,7 +118,31 @@ let write ~path ~model ~options ~elapsed ~incumbent ~prngs st =
           add_word (hex c);
           add_word (string_of_int v))
         terms;
-      flush_line ());
+      flush_line o);
+  List.rev o.lines
+
+(* encode the search state and atomically replace the file at [path];
+   [model_lines] is [model_lines model] *)
+let write ~path ~model ~model_lines ~options ~elapsed ~incumbent ~prngs st =
+  let n = Model.num_vars model in
+  let o = out () in
+  let buf = o.buf and add = add o and add_word = add_word o in
+  let add_floats a = Array.iter (fun x -> add_word (hex x)) a in
+  add
+    (Printf.sprintf "dir %s"
+       (match Model.direction model with
+       | Model.Minimize -> "min"
+       | Model.Maximize -> "max"));
+  add
+    (Printf.sprintf "opts %s %s %s %d %s %d"
+       (match options.branching with
+       | Pseudocost -> "pc"
+       | Most_fractional -> "mf")
+       (hex options.gap_tolerance)
+       (hex options.integrality_tol)
+       options.heuristic_period (flag options.warm_start) options.wave);
+  add (Printf.sprintf "elapsed %s" (hex elapsed));
+  List.iter add model_lines;
   add
     (Printf.sprintf "state %d %d %s %s %s %s" st.nodes st.next_seq
        (hex st.best_open) (flag st.merge_stopped) (flag st.merge_deadline)
@@ -124,7 +156,7 @@ let write ~path ~model ~options ~elapsed ~incumbent ~prngs st =
     Buffer.add_string buf
       (Printf.sprintf " %d %d %d" k1 k2 (Array.length c.Incumbent.x));
     add_floats c.Incumbent.x;
-    flush_line ());
+    flush_line o);
   let pc = st.pc in
   for v = 0 to n - 1 do
     if pc.pc_down_n.(v) > 0 || pc.pc_up_n.(v) > 0 then
@@ -141,6 +173,13 @@ let write ~path ~model ~options ~elapsed ~incumbent ~prngs st =
       let s, gm = Prng.state g in
       add (Printf.sprintf "g %d %Ld %Ld" w s gm))
     prngs;
+  (* a node's bounds are the model's except where branching moved
+     them, so each node lists only the variables whose bounds differ
+     (bit for bit) from the model's: writes stay proportional to the
+     depth of the frontier, not to its size times the variable count *)
+  let root_lb = Array.init n (fun v -> Model.var_lb model (Model.var_of_index model v))
+  and root_ub = Array.init n (fun v -> Model.var_ub model (Model.var_of_index model v)) in
+  let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
   let keys, frontier = H.snapshot st.queue in
   add (Printf.sprintf "heap %d" (Array.length keys));
   Array.iteri
@@ -160,17 +199,28 @@ let write ~path ~model ~options ~elapsed ~incumbent ~prngs st =
       | None -> Buffer.add_string buf " -"
       | Some b ->
         Buffer.add_string buf (Printf.sprintf " %d" (Array.length b));
-        Array.iter (fun bi -> add_word (string_of_int bi)) b);
-      add_floats nd.lower;
-      add_floats nd.upper;
-      flush_line ())
+        Array.iter (fun bi -> add_int o bi) b);
+      let moved v = not (same nd.lower.(v) root_lb.(v) && same nd.upper.(v) root_ub.(v)) in
+      let count = ref 0 in
+      for v = 0 to n - 1 do
+        if moved v then incr count
+      done;
+      add_word (string_of_int !count);
+      for v = 0 to n - 1 do
+        if moved v then begin
+          add_word (string_of_int v);
+          add_word (hex nd.lower.(v));
+          add_word (hex nd.upper.(v))
+        end
+      done;
+      flush_line o)
     keys;
   (* the run manifest rides along verbatim, so a checkpoint identifies
      the run (host, argv, git revision) that produced it *)
   (match Status.manifest () with
   | Some j -> add ("manifest " ^ Json.to_string j)
   | None -> ());
-  Ckpt.write ~path ~magic ~version (List.rev !lines)
+  Ckpt.write ~path ~magic ~version (List.rev o.lines)
 
 (* Decoding reads the body through a cursor. Body line [i] sits at
    file line [i + 2] (line 1 is the container header), which is the
@@ -293,8 +343,10 @@ let decode_incumbent rd =
       }
   | _, i -> fail rd i "bad inc record"
 
-(* one [h] record: a heap key and its open node over [n] variables *)
-let decode_node rd n =
+(* one [h] record: a heap key and its open node, whose bounds are
+   [root_lb]/[root_ub] except where the record lists a variable *)
+let decode_node rd ~root_lb ~root_ub =
+  let n = Array.length root_lb in
   match toks rd "h" with
   | "h" :: key :: seq :: depth :: rest, i ->
     let fill a parse what rest =
@@ -330,9 +382,25 @@ let decode_node rd n =
         (Some b, fill b pint "basis" rest)
       | [] -> fail rd i "truncated node record"
     in
-    let lower = Array.make n 0.0 and upper = Array.make n 0.0 in
-    let rest = fill lower pfloat "node lower bounds" rest in
-    let rest = fill upper pfloat "node upper bounds" rest in
+    let lower = Array.copy root_lb and upper = Array.copy root_ub in
+    let rest =
+      match rest with
+      | k :: rest ->
+        let rec take j rest =
+          if j = 0 then rest
+          else
+            match rest with
+            | v :: lo :: hi :: rest ->
+              let v = pint rd i v in
+              if v < 0 || v >= n then fail rd i "node bound variable out of range";
+              lower.(v) <- pfloat rd i lo;
+              upper.(v) <- pfloat rd i hi;
+              take (j - 1) rest
+            | _ -> fail rd i "truncated node bounds"
+        in
+        take (pint rd i k) rest
+      | [] -> fail rd i "truncated node record"
+    in
     if rest <> [] then fail rd i "trailing node tokens";
     ( pfloat rd i key,
       {
@@ -395,7 +463,11 @@ let decode ~path body =
           (pint64 rd i st, pint64 rd i gm)
         | _, i -> fail rd i "bad g record")
   in
-  let heap = Array.init (field rd "heap" pint) (fun _ -> decode_node rd n) in
+  let root f = Array.init n (fun v -> f model (Model.var_of_index model v)) in
+  let root_lb = root Model.var_lb and root_ub = root Model.var_ub in
+  let heap =
+    Array.init (field rd "heap" pint) (fun _ -> decode_node rd ~root_lb ~root_ub)
+  in
   (* optional trailing manifest line: informational, not restored *)
   (match peek rd with
   | Some l when String.length l >= 9 && String.sub l 0 9 = "manifest " ->

@@ -30,7 +30,12 @@
    primal feasibility. The primal phases then run from wherever the
    dual phase stopped, so the final status and objective are always
    produced by the same primal machinery as a cold solve; the dual
-   phase is purely an accelerator. *)
+   phase is purely an accelerator.
+
+   Sessions: the solver state outlives a solve. [resolve] reuses the
+   workspace and, for a warm start from the session's own last basis,
+   the factorization with its eta file; [solve] is a fresh session
+   and one [resolve]. *)
 
 module Trace = Monpos_obs.Trace
 module Metrics = Monpos_obs.Metrics
@@ -175,10 +180,14 @@ type kstate =
 
 and lu_slot = { mutable fact : Lu.t option }
 
+(* A session: the problem, the workspace every re-solve reuses, the
+   kernel's current factorization and the basis it represents. The
+   per-solve fields (deadline, iteration and degeneracy counters, the
+   recovery override) are reset by every re-solve. *)
 type state = {
   p : problem;
   nn : int; (* n + m total columns *)
-  lb : float array; (* length nn *)
+  lb : float array; (* length nn; slack bounds written once *)
   ub : float array;
   x : float array; (* current value per column *)
   vstat : vstatus array;
@@ -189,13 +198,28 @@ type state = {
   y : Sparse_vec.t; (* BTRAN result, indexed by constraint row *)
   work : Sparse_vec.t; (* kernel right-hand-side scratch *)
   rho : Sparse_vec.t; (* dual phase pricing row of B^-1 *)
-  deadline : Deadline.t;
+  seen : Bytes.t; (* basis well-formedness scratch, all zero between uses *)
+  mutable deadline : Deadline.t;
   mutable iters : int;
   mutable degenerate_run : int;
   mutable bland : bool;
   mutable pivots_since_factor : int;
   mutable refactor_override : int option;
+  (* the LU factor represents [basic_var]: the last re-solve finished
+     on a consistent factorization *)
+  mutable carried : bool;
+  (* the factor and its eta mark at the start of the last re-solve,
+     with the basis they represented then ([start_basis]), for
+     [rollback]; None when there is nothing to roll back to *)
+  mutable start : (Lu.t * Lu.mark) option;
+  start_basis : int array;
+  (* the last re-solve ran the simplex (it did not stop at crossed
+     bounds) and was not rolled back, so [certificate] reads its final
+     basis *)
+  mutable ran : bool;
 }
+
+type session = state
 
 let feas_tol = 1e-7
 
@@ -272,10 +296,22 @@ let kernel_row st r =
     | Some f -> Lu.btran f ~rhs:st.work ~into:st.rho
     | None -> Sparse_vec.clear st.rho)
 
+(* The loops over a column below are written out rather than passed to
+   [col_iter]: a closure (and a boxed float accumulator) per column per
+   pricing pass is most of what a solve allocates. They visit the
+   entries in the same order, so the sums are bit-identical. *)
+
 (* alpha := B^-1 A_j *)
 let ftran st j =
   Sparse_vec.clear st.work;
-  col_iter st j (fun i a -> if a <> 0.0 then Sparse_vec.add st.work i a);
+  (if j < st.p.n then begin
+     let c = st.p.cols.(j) in
+     for k = 0 to Array.length c.rows - 1 do
+       let a = c.coefs.(k) in
+       if a <> 0.0 then Sparse_vec.add st.work c.rows.(k) a
+     done
+   end
+   else Sparse_vec.add st.work (j - st.p.n) 1.0);
   kernel_ftran st;
   if st.p.m > 0 then
     Metrics.observe (Lazy.force m_ftran_nnz)
@@ -298,11 +334,30 @@ let load_phase_costs st ~phase1 =
     if c <> 0.0 then Sparse_vec.set st.work r c
   done
 
+(* cost_j - y.A_j *)
 let reduced_cost st j cost_j =
   let yv = Sparse_vec.raw st.y in
-  let acc = ref cost_j in
-  col_iter st j (fun i a -> acc := !acc -. (yv.(i) *. a));
-  !acc
+  if j < st.p.n then begin
+    let c = st.p.cols.(j) in
+    let acc = ref cost_j in
+    for k = 0 to Array.length c.rows - 1 do
+      acc := !acc -. (yv.(c.rows.(k)) *. c.coefs.(k))
+    done;
+    !acc
+  end
+  else cost_j -. (yv.(j - st.p.n) *. 1.0)
+
+(* rho.A_j, with [rv] the raw row of B^-1 *)
+let row_dot st rv j =
+  if j < st.p.n then begin
+    let c = st.p.cols.(j) in
+    let acc = ref 0.0 in
+    for k = 0 to Array.length c.rows - 1 do
+      acc := !acc +. (rv.(c.rows.(k)) *. c.coefs.(k))
+    done;
+    !acc
+  end
+  else 0.0 +. (rv.(j - st.p.n) *. 1.0)
 
 (* Recompute basic variable values from nonbasic values. *)
 let recompute_basics st =
@@ -312,8 +367,15 @@ let recompute_basics st =
     if st.p.b.(i) <> 0.0 then Sparse_vec.set st.work i st.p.b.(i)
   done;
   for j = 0 to st.nn - 1 do
-    if st.vstat.(j) <> Basic && st.x.(j) <> 0.0 then
-      col_iter st j (fun i a -> Sparse_vec.add st.work i (-.a *. st.x.(j)))
+    let xj = st.x.(j) in
+    if st.vstat.(j) <> Basic && xj <> 0.0 then
+      if j < st.p.n then begin
+        let c = st.p.cols.(j) in
+        for k = 0 to Array.length c.rows - 1 do
+          Sparse_vec.add st.work c.rows.(k) (-.c.coefs.(k) *. xj)
+        done
+      end
+      else Sparse_vec.add st.work (j - st.p.n) (-.1.0 *. xj)
   done;
   kernel_ftran st;
   let av = Sparse_vec.raw st.alpha in
@@ -437,37 +499,30 @@ let total_infeasibility st =
    phase-1 costs are zero, so d_j = -y.A_j. Returns (j, dir, d_j). *)
 let choose_entering st ~phase1 =
   let best = ref (-1) and best_score = ref 0.0 and best_dir = ref 1.0 in
-  let consider j d dir =
-    let score = abs_float d in
-    if score > dj_tol then
-      if st.bland then begin
-        if !best = -1 then begin
-          best := j;
-          best_score := score;
-          best_dir := dir
-        end
-      end
-      else if score > !best_score then begin
+  for j = 0 to st.nn - 1 do
+    let vs = st.vstat.(j) in
+    if vs <> Basic && (st.ub.(j) -. st.lb.(j) > zero_tol || vs = Free_nb) then begin
+      let cj = if phase1 then 0.0 else cost_of st j in
+      let d = reduced_cost st j cj in
+      (* the improving direction, 0 when d has the optimality sign *)
+      let dir =
+        match vs with
+        | At_lower -> if d < -.dj_tol then 1.0 else 0.0
+        | At_upper -> if d > dj_tol then -1.0 else 0.0
+        | Free_nb ->
+          if d < -.dj_tol then 1.0 else if d > dj_tol then -1.0 else 0.0
+        | Basic -> 0.0
+      in
+      let score = abs_float d in
+      if
+        dir <> 0.0 && score > dj_tol
+        && if st.bland then !best = -1 else score > !best_score
+      then begin
         best := j;
         best_score := score;
         best_dir := dir
       end
-  in
-  for j = 0 to st.nn - 1 do
-    match st.vstat.(j) with
-    | Basic -> ()
-    | At_lower | At_upper | Free_nb ->
-      if st.ub.(j) -. st.lb.(j) > zero_tol || st.vstat.(j) = Free_nb then begin
-        let cj = if phase1 then 0.0 else cost_of st j in
-        let d = reduced_cost st j cj in
-        (match st.vstat.(j) with
-        | At_lower -> if d < -.dj_tol then consider j d 1.0
-        | At_upper -> if d > dj_tol then consider j d (-1.0)
-        | Free_nb ->
-          if d < -.dj_tol then consider j d 1.0
-          else if d > dj_tol then consider j d (-1.0)
-        | Basic -> ())
-      end
+    end
   done;
   if !best = -1 then None else Some (!best, !best_dir)
 
@@ -486,45 +541,56 @@ let ratio_test st j dir ~phase1 =
     if span < 0.0 then 0.0 else span
   in
   let t_best = ref flip_limit in
-  let leave = ref Bound_flip in
+  let leave_r = ref (-1) and leave_upper = ref false in
   let best_piv = ref 0.0 in
   let leave_var = ref max_int in
-  Sparse_vec.iter st.alpha (fun r a ->
-      if abs_float a > piv_tol then begin
-        let v = st.basic_var.(r) in
-        let delta = -.dir *. a in
-        let xr = st.x.(v) and lr = st.lb.(v) and ur = st.ub.(v) in
-        let candidate t side =
-          let t = if t < 0.0 then 0.0 else t in
-          let strictly_less = t < !t_best -. tie in
-          let tied = (not strictly_less) && t <= !t_best +. tie in
-          let wins_tie =
-            tied
-            &&
-            if st.bland then v < !leave_var
-            else abs_float a > !best_piv
-          in
-          if strictly_less || wins_tie then begin
-            if t < !t_best then t_best := t;
-            leave := Leave (r, side);
-            best_piv := abs_float a;
-            leave_var := v
-          end
+  let av = Sparse_vec.raw st.alpha in
+  for k = 0 to Sparse_vec.nnz st.alpha - 1 do
+    let r = Sparse_vec.nth st.alpha k in
+    let a = av.(r) in
+    if abs_float a > piv_tol then begin
+      let v = st.basic_var.(r) in
+      let delta = -.dir *. a in
+      let xr = st.x.(v) and lr = st.lb.(v) and ur = st.ub.(v) in
+      (* this row's step to the bound it would leave at, nan if none *)
+      let t = ref nan and upper = ref false in
+      let below = xr < lr -. feas_tol and above = xr > ur +. feas_tol in
+      if (not below) && not above then begin
+        if delta < 0.0 && lr > neg_infinity then t := (xr -. lr) /. -.delta
+        else if delta > 0.0 && ur < infinity then begin
+          t := (ur -. xr) /. delta;
+          upper := true
+        end
+      end
+      else if phase1 then begin
+        if below && delta > 0.0 then t := (lr -. xr) /. delta
+        else if above && delta < 0.0 then begin
+          t := (xr -. ur) /. -.delta;
+          upper := true
+        end
+      end;
+      if not (Float.is_nan !t) then begin
+        let t = if !t < 0.0 then 0.0 else !t in
+        let strictly_less = t < !t_best -. tie in
+        let tied = (not strictly_less) && t <= !t_best +. tie in
+        let wins_tie =
+          tied
+          && if st.bland then v < !leave_var else abs_float a > !best_piv
         in
-        let below = xr < lr -. feas_tol and above = xr > ur +. feas_tol in
-        if (not below) && not above then begin
-          if delta < 0.0 && lr > neg_infinity then
-            candidate ((xr -. lr) /. -.delta) `Lower
-          else if delta > 0.0 && ur < infinity then
-            candidate ((ur -. xr) /. delta) `Upper
+        if strictly_less || wins_tie then begin
+          if t < !t_best then t_best := t;
+          leave_r := r;
+          leave_upper := !upper;
+          best_piv := abs_float a;
+          leave_var := v
         end
-        else if phase1 then begin
-          if below && delta > 0.0 then candidate ((lr -. xr) /. delta) `Lower
-          else if above && delta < 0.0 then
-            candidate ((xr -. ur) /. -.delta) `Upper
-        end
-      end);
-  if !t_best = infinity then None else Some (!t_best, !leave)
+      end
+    end
+  done;
+  if !t_best = infinity then None
+  else if !leave_r < 0 then Some (!t_best, Bound_flip)
+  else
+    Some (!t_best, Leave (!leave_r, if !leave_upper then `Upper else `Lower))
 
 (* Apply a step of length t along entering variable j / direction dir. *)
 let apply_step st j dir t leave =
@@ -657,23 +723,29 @@ let run_phase st ~phase1 ~max_iterations =
    warm start" — a basis from a different problem must never crash the
    solve. *)
 let basis_well_formed st basis =
-  Array.length basis = st.p.m
+  let m = st.p.m in
+  Array.length basis = m
   && begin
-    let seen = Array.make st.nn false in
-    Array.for_all
-      (fun j ->
-        j >= 0 && j < st.nn && not seen.(j)
-        && begin
-          seen.(j) <- true;
-          true
-        end)
-      basis
+    let k = ref 0 in
+    while
+      !k < m
+      &&
+      let j = basis.(!k) in
+      j >= 0 && j < st.nn && Bytes.get st.seen j = '\000'
+    do
+      Bytes.set st.seen basis.(!k) '\001';
+      incr k
+    done;
+    for i = 0 to !k - 1 do
+      Bytes.set st.seen basis.(i) '\000'
+    done;
+    !k = m
   end
 
-(* Install the basic set and factorize it through the kernel. Raises
-   Singular_basis when the columns are dependent; the caller falls
-   back to a cold start. *)
-let install_basis st basis =
+(* Make [basis] the basic set, parking each nonbasic provisionally;
+   [prepare_warm_nonbasics] re-chooses the spot by reduced-cost sign
+   once a factorization of the basis exists. *)
+let assign_basis st basis =
   for j = 0 to st.nn - 1 do
     st.in_row.(j) <- -1
   done;
@@ -684,8 +756,6 @@ let install_basis st basis =
   for j = 0 to st.nn - 1 do
     if st.in_row.(j) >= 0 then st.vstat.(j) <- Basic
     else begin
-      (* provisional parking spot; re-chosen by reduced-cost sign in
-         [prepare_warm_nonbasics] once the factorization exists *)
       st.vstat.(j) <- (if st.lb.(j) > neg_infinity then At_lower
                        else if st.ub.(j) < infinity then At_upper
                        else Free_nb);
@@ -694,8 +764,30 @@ let install_basis st basis =
          else if st.ub.(j) < infinity then st.ub.(j)
          else 0.0)
     end
-  done;
+  done
+
+(* Install the basic set and factorize it through the kernel. Raises
+   Singular_basis when the columns are dependent; the caller falls
+   back to a cold start. *)
+let install_basis st basis =
+  assign_basis st basis;
   refactorize st
+
+(* Whether a warm start from [basis] may run on the factorization the
+   session already holds: the last re-solve finished consistently on
+   exactly this basis (position by position, as the factor is
+   position-indexed) and the eta file has room left. *)
+let carries st basis =
+  st.carried
+  && (match st.kern with
+     | Klu { fact = Some f } -> not (Lu.should_refactor f)
+     | Klu { fact = None } | Kdense _ -> false)
+  &&
+  let same = ref true in
+  for r = 0 to st.p.m - 1 do
+    if basis.(r) <> st.basic_var.(r) then same := false
+  done;
+  !same
 
 (* Park every nonbasic variable on the bound its reduced cost wants:
    a boxed variable is always dual feasible this way; a one-sided or
@@ -791,11 +883,6 @@ let run_dual_phase st ~max_iterations =
         kernel_btran st;
         kernel_row st r;
         let rv = Sparse_vec.raw st.rho in
-        let alpha_of j =
-          let acc = ref 0.0 in
-          col_iter st j (fun i a -> acc := !acc +. (rv.(i) *. a));
-          !acc
-        in
         let best = ref (-1) in
         let best_ratio = ref infinity in
         let best_piv = ref 0.0 in
@@ -804,7 +891,7 @@ let run_dual_phase st ~max_iterations =
           | Basic -> ()
           | (At_lower | At_upper | Free_nb) as vs ->
             if vs = Free_nb || st.ub.(j) -. st.lb.(j) > zero_tol then begin
-              let a = alpha_of j in
+              let a = row_dot st rv j in
               if abs_float a > piv_tol then begin
                 let eligible =
                   match vs with
@@ -859,69 +946,106 @@ let run_dual_phase st ~max_iterations =
 
 let default_iterations p = 20_000 + (60 * (p.n + p.m))
 
-let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none)
-    ?(options = default_options) p =
-  let max_iterations =
-    match max_iterations with Some k -> k | None -> default_iterations p
-  in
+let session ?(options = default_options) p =
   let n = p.n and m = p.m in
   let nn = n + m in
   let lb = Array.make nn 0.0 and ub = Array.make nn 0.0 in
-  for j = 0 to n - 1 do
-    lb.(j) <- (match lower with Some l -> l.(j) | None -> p.base_lb.(j));
-    ub.(j) <- (match upper with Some u -> u.(j) | None -> p.base_ub.(j))
-  done;
   for r = 0 to m - 1 do
     lb.(n + r) <- p.slack_lb.(r);
     ub.(n + r) <- p.slack_ub.(r)
   done;
+  {
+    p;
+    nn;
+    lb;
+    ub;
+    x = Array.make nn 0.0;
+    vstat = Array.make nn At_lower;
+    basic_var = Array.init (max m 1) (fun r -> n + r);
+    in_row = Array.make nn (-1);
+    kern =
+      (match options.kernel with
+      | Dense ->
+        Kdense
+          (Array.init (max m 1) (fun r ->
+               Array.init (max m 1) (fun i -> if r = i then 1.0 else 0.0)))
+      | Sparse_lu -> Klu { fact = None });
+    alpha = Sparse_vec.create m;
+    y = Sparse_vec.create m;
+    work = Sparse_vec.create m;
+    rho = Sparse_vec.create m;
+    seen = Bytes.make nn '\000';
+    deadline = Deadline.none;
+    iters = 0;
+    degenerate_run = 0;
+    bland = false;
+    pivots_since_factor = 0;
+    refactor_override = None;
+    carried = false;
+    start = None;
+    start_basis = Array.make (max m 1) 0;
+    ran = false;
+  }
+
+(* Remember the factor and basis a re-solve starts from. Called when
+   the factor represents [basic_var]. *)
+let mark_start st =
+  match st.kern with
+  | Klu { fact = Some f } ->
+    st.start <- Some (f, Lu.mark f);
+    Array.blit st.basic_var 0 st.start_basis 0 st.p.m
+  | Klu { fact = None } | Kdense _ -> st.start <- None
+
+let rollback st =
+  st.ran <- false;
+  (match (st.start, st.kern) with
+  | Some (f, mk), Klu { fact = Some cur } when cur == f ->
+    Lu.truncate f mk;
+    Array.blit st.start_basis 0 st.basic_var 0 st.p.m;
+    st.carried <- true
+  | _ -> st.carried <- false);
+  st.start <- None
+
+let resolve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none) st
+    =
+  let p = st.p in
+  let max_iterations =
+    match max_iterations with Some k -> k | None -> default_iterations p
+  in
+  let n = p.n and m = p.m in
+  let nn = st.nn and lb = st.lb and ub = st.ub in
+  for j = 0 to n - 1 do
+    lb.(j) <- (match lower with Some l -> l.(j) | None -> p.base_lb.(j));
+    ub.(j) <- (match upper with Some u -> u.(j) | None -> p.base_ub.(j))
+  done;
+  (* slack bounds are never crossed *)
   let bounds_ok = ref true in
-  for j = 0 to nn - 1 do
+  for j = 0 to n - 1 do
     if lb.(j) > ub.(j) +. 1e-12 then bounds_ok := false
   done;
-  let empty_solution status =
+  if not !bounds_ok then begin
+    (* nothing runs: the factor and the basis it represents stay as
+       they were, and so does the point a rollback returns to *)
+    st.ran <- false;
+    if st.carried then mark_start st else st.start <- None;
     {
-      status;
+      status = Infeasible;
       objective = nan;
       primal = Array.make n 0.0;
-      duals = Array.make m 0.0;
-      reduced_costs = Array.make n 0.0;
+      duals = [||];
+      reduced_costs = [||];
       iterations = 0;
       dual_iterations = 0;
       basis = Array.init m (fun r -> n + r);
     }
-  in
-  if not !bounds_ok then empty_solution Infeasible
+  end
   else begin
-    let st =
-      {
-        p;
-        nn;
-        lb;
-        ub;
-        x = Array.make nn 0.0;
-        vstat = Array.make nn At_lower;
-        basic_var = Array.init (max m 1) (fun r -> n + r);
-        in_row = Array.make nn (-1);
-        kern =
-          (match options.kernel with
-          | Dense ->
-            Kdense
-              (Array.init (max m 1) (fun r ->
-                   Array.init (max m 1) (fun i -> if r = i then 1.0 else 0.0)))
-          | Sparse_lu -> Klu { fact = None });
-        alpha = Sparse_vec.create m;
-        y = Sparse_vec.create m;
-        work = Sparse_vec.create m;
-        rho = Sparse_vec.create m;
-        deadline;
-        iters = 0;
-        degenerate_run = 0;
-        bland = false;
-        pivots_since_factor = 0;
-        refactor_override = None;
-      }
-    in
+    st.deadline <- deadline;
+    st.iters <- 0;
+    st.degenerate_run <- 0;
+    st.bland <- false;
+    st.refactor_override <- None;
+    st.ran <- true;
     (* (re)start from the all-slack basis; used both for the initial
        start and to recover from a numerically singular basis *)
     let reset_to_slack_basis () =
@@ -966,20 +1090,25 @@ let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none)
       if m > 0 then refactorize st else recompute_basics st
     in
     (* Warm start: install the caller's basis and decide whether the
-       dual simplex may run. Any failure (wrong shape, singular
-       columns) falls back to the cold slack basis. Installation
-       overwrites every basic and nonbasic value, so the state it
-       starts from never matters. *)
+       dual simplex may run. The session's own last basis keeps the
+       factorization it already has; any other basis is factorized
+       fresh. Any failure (wrong shape, singular columns) falls back
+       to the cold slack basis. Installation overwrites every basic
+       and nonbasic value, so the state it starts from never matters. *)
     let warm_dual = ref false in
     let warm_installed = ref false in
     (match basis with
     | Some bas when m > 0 && basis_well_formed st bas -> (
-      match install_basis st bas with
+      match
+        if carries st bas then assign_basis st bas else install_basis st bas
+      with
       | () ->
         warm_installed := true;
         warm_dual := prepare_warm_nonbasics st
       | exception Singular_basis -> reset_to_slack_basis ())
     | _ -> reset_to_slack_basis ());
+    st.carried <- false;
+    mark_start st;
     if !warm_installed then begin
       Metrics.incr (Lazy.force m_warm_starts);
       if not !warm_dual then begin
@@ -991,15 +1120,11 @@ let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none)
     end;
     let dual_iters = ref 0 in
     let finish status =
-      (* multipliers for the true objective at the final basis *)
-      load_phase_costs st ~phase1:false;
-      kernel_btran st;
       (match st.kern with
       | Klu { fact = Some f } ->
         Metrics.observe (Lazy.force m_eta_len)
           (float_of_int (Lu.eta_count f))
       | _ -> ());
-      let yv = Sparse_vec.raw st.y in
       let primal = Array.sub st.x 0 n in
       let obj_min =
         let acc = ref 0.0 in
@@ -1009,16 +1134,12 @@ let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none)
         !acc
       in
       let sign = if p.maximize then -1.0 else 1.0 in
-      let duals = Array.init m (fun r -> sign *. yv.(r)) in
-      let reduced_costs =
-        Array.init n (fun j -> reduced_cost st j p.cost.(j))
-      in
       {
         status;
         objective = sign *. obj_min;
         primal;
-        duals;
-        reduced_costs;
+        duals = [||];
+        reduced_costs = [||];
         iterations = st.iters;
         dual_iterations = !dual_iters;
         basis = Array.sub st.basic_var 0 m;
@@ -1097,9 +1218,9 @@ let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none)
        drift or a degenerate pivot sequence) restarts from the slack
        basis under Bland's rule with more frequent refactorization; a
        second failure gives up with Iteration_limit *)
-    let sol =
+    let sol, consistent =
       match run () with
-      | sol -> sol
+      | sol -> (sol, true)
       | exception Singular_basis ->
         st.bland <- true;
         st.degenerate_run <- 0;
@@ -1114,9 +1235,10 @@ let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none)
               if Trace.enabled sink then
                 Trace.recovery sink ~stage:"simplex"
                   ~detail:"singular basis: cold restart under Bland's rule";
-              sol
-            | exception Singular_basis -> finish Iteration_limit)
+              (sol, true)
+            | exception Singular_basis -> (finish Iteration_limit, false))
     in
+    st.carried <- consistent;
     (* the solve count is labeled by the kernel the solve actually ran
        on; registration is idempotent, so this lookup is a mutexed
        hashtable hit once per solve, not per pivot *)
@@ -1128,6 +1250,25 @@ let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none)
       (sol.iterations - sol.dual_iterations);
     sol
   end
+
+let certificate st =
+  let n = st.p.n and m = st.p.m in
+  if not st.ran then (Array.make m 0.0, Array.make n 0.0)
+  else begin
+    (* multipliers for the true objective at the final basis *)
+    load_phase_costs st ~phase1:false;
+    kernel_btran st;
+    let yv = Sparse_vec.raw st.y in
+    let sign = if st.p.maximize then -1.0 else 1.0 in
+    ( Array.init m (fun r -> sign *. yv.(r)),
+      Array.init n (fun j -> reduced_cost st j st.p.cost.(j)) )
+  end
+
+let solve ?max_iterations ?lower ?upper ?basis ?deadline ?options p =
+  let st = session ?options p in
+  let sol = resolve ?max_iterations ?lower ?upper ?basis ?deadline st in
+  let duals, reduced_costs = certificate st in
+  { sol with duals; reduced_costs }
 
 let solve_model ?max_iterations ?deadline ?options m =
   solve ?max_iterations ?deadline ?options (of_model m)

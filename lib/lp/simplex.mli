@@ -26,6 +26,18 @@
     singular or ill-shaped basis the solver silently falls back to the
     cold slack start.
 
+    Sessions: a {!session} owns the problem, the workspace (bounds,
+    values, basis maps, sparse work vectors) and the current
+    factorization with the basis it represents. {!resolve} applies
+    new bounds and re-solves on all of it. A warm start from the
+    session's own last basis keeps the factorization, eta file
+    included, and only recomputes the basic values; every other warm
+    start (a stored basis, a foreign one, or a factor whose eta file
+    is due for a refactorization) factorizes fresh. {!rollback} undoes
+    a re-solve whose result the caller discards, so a retry from the
+    basis before it also keeps the factorization. {!solve} is a fresh
+    session and one re-solve, so it always factorizes fresh.
+
     Anti-cycling: after a run of degenerate pivots the pivot rule
     falls back to Bland's rule until progress resumes. *)
 
@@ -73,9 +85,11 @@ type solution = {
   duals : float array;
       (** Simplex multiplier per constraint row. Signs follow the
           minimization form; for a [Maximize] model they are negated so
-          that weak duality holds in the model's direction. *)
+          that weak duality holds in the model's direction. Empty after
+          {!resolve}, which leaves them to {!certificate}. *)
   reduced_costs : float array;
-      (** Reduced cost per structural variable (minimization form). *)
+      (** Reduced cost per structural variable (minimization form).
+          Empty after {!resolve}. *)
   iterations : int;  (** Total pivots across all phases. *)
   dual_iterations : int;
       (** Pivots spent in the dual simplex phase (0 on cold solves). *)
@@ -113,6 +127,45 @@ val solve :
     instead of running the node LP to completion, which is what makes
     {!Mip.options.time_limit} a real wall-clock bound. Default
     iteration budget scales with the instance size. *)
+
+type session
+(** A problem with its reusable solver state. Not thread-safe: one
+    domain at a time. *)
+
+val session : ?options:options -> problem -> session
+(** A fresh session: no factorization yet. [options] selects the
+    kernel ({!default_options} otherwise). *)
+
+val resolve :
+  ?max_iterations:int ->
+  ?lower:float array ->
+  ?upper:float array ->
+  ?basis:basis ->
+  ?deadline:Monpos_resilience.Deadline.t ->
+  session ->
+  solution
+(** [resolve s] is {!solve} on the session's problem, reusing its
+    workspace. A warm [basis] equal, position by position, to the
+    final basis of the last re-solve runs on the session's
+    factorization as it stands, unless its eta file is due for a
+    refactorization; any other basis is factorized fresh. The
+    solution's [duals] and [reduced_costs] are empty: read them with
+    {!certificate}. *)
+
+val rollback : session -> unit
+(** Undo the last {!resolve}: drop the etas it appended and make the
+    basis it started from the session's last basis again, so a retry
+    from that basis keeps the factorization. When that factorization
+    is gone (the re-solve refactorized or recovered from a singular
+    basis) the session forgets its factorization instead, and the
+    next warm start factorizes fresh. O(m). *)
+
+val certificate : session -> float array * float array
+(** [(duals, reduced_costs)] at the final basis of the last
+    {!resolve}, in the conventions of {!solution.duals} and
+    {!solution.reduced_costs}; zeros when it stopped at crossed bounds
+    before solving or was rolled back. Valid until the session's next
+    re-solve. *)
 
 val solve_model :
   ?max_iterations:int ->

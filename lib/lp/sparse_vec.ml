@@ -46,6 +46,8 @@ let raw t = t.v
 
 let nnz t = t.n
 
+let nth t k = t.idx.(k)
+
 let iter t f =
   for k = 0 to t.n - 1 do
     let i = t.idx.(k) in

@@ -40,6 +40,11 @@ val raw : t -> float array
 val nnz : t -> int
 (** Number of listed positions (explicit zeros included). *)
 
+val nth : t -> int -> int
+(** [nth t k] is the [k]-th listed position, [0 <= k < nnz t], in the
+    order {!iter} visits them. For loops that must not allocate a
+    closure; the value may be an explicit zero. *)
+
 val iter : t -> (int -> float -> unit) -> unit
 (** Iterate the listed positions, skipping explicit zeros. The
     callback must not modify the pattern of this vector. *)

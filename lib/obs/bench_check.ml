@@ -12,10 +12,13 @@
      otherwise-identical runs);
    - scheduler- and machine-dependent series (work-steal counts,
      per-domain "{domain=...}" splits, core counts, measured-overhead
-     percentages): artifacts of which worker happened to grab which
-     node, of the hardware the run landed on, or of background load
-     during a timed A/B, so they are compared for coverage but never
-     regress (the derived 0/1 "..._gate" flags still do);
+     percentages, "..._share" time fractions, and every metric
+     counter of the [micro] phase, whose
+     values follow how many runs Bechamel fits in its time quota):
+     artifacts of which worker happened to grab which node, of the
+     hardware the run landed on, or of background load during a
+     timed A/B, so they are compared for coverage but never regress
+     (the derived 0/1 "..._gate" flags still do);
    - everything else (device counts, coverage fractions, pivot and
      node counters): deterministic under fixed seeds, so anything
      beyond ±1% relative regresses.
@@ -63,11 +66,13 @@ type klass = Time | Ratio | Exact | Sched
 
 let is_gate key = contains ~sub:"_gate" key
 
-let classify key =
+let classify ~phase key =
   if
-    contains ~sub:"{domain=" key || contains ~sub:"steals" key
+    (phase = "micro" && String.starts_with ~prefix:"metrics." key)
+    || contains ~sub:"{domain=" key || contains ~sub:"steals" key
     || contains ~sub:"cores" key
     || contains ~sub:"overhead_pct" key
+    || contains ~sub:"_share" key
   then Sched
   else if key = "seconds" || contains ~sub:"seconds" key then Time
   else if contains ~sub:"speedup" key || contains ~sub:"pivot_ratio" key then
@@ -97,7 +102,7 @@ let judge ~phase ~key ~base ~cur =
     let fail limit =
       Some { phase; key; baseline = base; current = Some cur; limit }
     in
-    (match classify key with
+    (match classify ~phase key with
     | Time ->
       if cur > (base *. (1.0 +. time_rel)) +. time_abs then
         fail (Printf.sprintf "<= %+.0f%% + %.1fs" (100.0 *. time_rel) time_abs)

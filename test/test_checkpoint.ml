@@ -414,8 +414,9 @@ let test_resume_version_mismatch () =
   let text = read_all path in
   (* the header is outside the checksum, so a version change alone
      must be rejected by the version gate (at line 1), not by the
-     corruption check: a future version, and version 1, whose opts
-     record still carried the simplex kernel *)
+     corruption check: a future version; version 1, whose opts record
+     still carried the simplex kernel; and version 2, whose open nodes
+     carried both bound vectors in full *)
   let nl = String.index text '\n' in
   let header = String.sub text 0 nl in
   List.iter
@@ -430,7 +431,7 @@ let test_resume_version_mismatch () =
       | _ -> Alcotest.fail (what ^ ": expected a Parse_error")
       | exception Rerror.Error (Rerror.Parse_error { line; _ }) ->
         Alcotest.(check int) (what ^ ": located at the header") 1 line)
-    [ ("future version", "99"); ("version 1", "1") ]
+    [ ("future version", "99"); ("version 1", "1"); ("version 2", "2") ]
 
 let test_resume_corrupt_and_missing () =
   let path = tmp "mipcorrupt.ckpt" in

@@ -228,9 +228,12 @@ let test_singular () =
 
 (* Values recorded before the factorization's O(nonzeros) rewrite;
    that rewrite keeps the pivot sequence and every factor entry, so
-   they must not move. Chaos is suppressed: the pins are about
-   fault-free arithmetic, and an injected singular pivot legitimately
-   changes the path. *)
+   they must not move. The exception is the pivot and refactorization
+   counts of the solve_mip pin: they follow the dive's arithmetic,
+   which carrying the factorization from one dive step to the next
+   changed on purpose (pivots 1125 -> 1170); devices and nodes stay.
+   Chaos is suppressed: the pins are about fault-free arithmetic, and
+   an injected singular pivot legitimately changes the path. *)
 
 let pop10_instance seed =
   Instance.of_pop (Pop.make_preset `Pop10 ~seed) ~seed:(seed * 3)
@@ -251,6 +254,7 @@ let counter name = Metrics.sum_counter (Metrics.snapshot Metrics.default) name
 let test_golden_solve_mip () =
   Chaos.suppress @@ fun () ->
   let nodes0 = counter "mip.nodes" and pivots0 = counter "simplex.iterations" in
+  let refactors0 = counter "simplex.refactorizations" in
   let sol =
     Passive.solve_mip ~k:0.95
       ~options:{ Mip.default_options with Mip.jobs = 1 }
@@ -258,7 +262,9 @@ let test_golden_solve_mip () =
   in
   Alcotest.(check int) "devices" 6 sol.Passive.count;
   Alcotest.(check int) "nodes" 9 (counter "mip.nodes" - nodes0);
-  Alcotest.(check int) "pivots" 1125 (counter "simplex.iterations" - pivots0)
+  Alcotest.(check int) "pivots" 1170 (counter "simplex.iterations" - pivots0);
+  Alcotest.(check int) "refactorizations" 71
+    (counter "simplex.refactorizations" - refactors0)
 
 let test_warm_optimal_refactorizes_once () =
   (* a warm start on an optimal, nonsingular basis re-solves in zero
@@ -282,6 +288,147 @@ let test_warm_optimal_refactorizes_once () =
   Alcotest.(check int) "one refactorization" 1
     (counter "simplex.refactorizations" - before)
 
+(* ---------- carried factorizations ---------- *)
+
+(* [t] disjoint triangles of x_i + x_j <= 1 rows over x in [0, 1],
+   maximizing a per-triangle weight: the LP optimum is 1/2 on every
+   variable, so a dive has one fix to make per triangle *)
+let triangles_lp t =
+  let model = Model.create Model.Maximize in
+  let xs =
+    Array.init (3 * t) (fun i ->
+        Model.add_var model ~lb:0.0 ~ub:1.0
+          ~obj:(1.0 +. (float_of_int (i / 3) /. 10.0))
+          Model.Continuous)
+  in
+  for k = 0 to t - 1 do
+    let a = xs.(3 * k) and b = xs.((3 * k) + 1) and c = xs.((3 * k) + 2) in
+    List.iter
+      (fun (u, v) -> Model.add_constr model [ (1.0, u); (1.0, v) ] Model.Le 1.0)
+      [ (a, b); (b, c); (a, c) ]
+  done;
+  Simplex.of_model model
+
+let optimal what (sol : Simplex.solution) =
+  Alcotest.(check bool) (what ^ ": optimal") true (sol.Simplex.status = Simplex.Optimal)
+
+(* a re-solve on the session, with the refactorizations it cost *)
+let counted f =
+  let before = counter "simplex.refactorizations" in
+  let sol = f () in
+  (sol, counter "simplex.refactorizations" - before)
+
+let same_objective what (a : Simplex.solution) (b : Simplex.solution) =
+  Alcotest.(check (float 1e-9)) (what ^ ": objective") b.Simplex.objective
+    a.Simplex.objective
+
+let test_dive_keeps_factorization () =
+  Chaos.suppress @@ fun () ->
+  let p = triangles_lp 8 in
+  let n = Simplex.num_structural p in
+  (* as in a branch-and-bound node: a new session factorizes the
+     stored basis fresh, with an empty eta file, and the dive runs on
+     that session *)
+  let stored = (Simplex.solve p).Simplex.basis in
+  let sess = Simplex.session p in
+  let root = Simplex.resolve ~basis:stored sess in
+  optimal "root" root;
+  let lower = Array.make n 0.0 and upper = Array.make n 1.0 in
+  let refactors = ref 0 and pivots = ref 0 and steps = ref 0 in
+  (* fix the first fractional variable to its rounding, as Mip's dive
+     does, until the relaxation is integral *)
+  let rec dive (sol : Simplex.solution) =
+    let x = sol.Simplex.primal in
+    match List.find_opt (fun v -> abs_float (x.(v) -. Float.round x.(v)) > 1e-6) (List.init n Fun.id) with
+    | None -> ()
+    | Some v ->
+      lower.(v) <- Float.round x.(v);
+      upper.(v) <- lower.(v);
+      let next, k =
+        counted (fun () ->
+            Simplex.resolve ~lower ~upper ~basis:sol.Simplex.basis sess)
+      in
+      let what = Printf.sprintf "step %d" !steps in
+      optimal what next;
+      same_objective what next
+        (Simplex.solve ~lower ~upper ~basis:sol.Simplex.basis p);
+      incr steps;
+      refactors := !refactors + k;
+      pivots := !pivots + next.Simplex.iterations;
+      dive next
+  in
+  dive root;
+  Alcotest.(check bool) (Printf.sprintf "dive pivoted (%d steps, %d pivots)" !steps !pivots)
+    true (!steps > 1 && !pivots > 0);
+  (* [solve ~basis] would have factorized once per step *)
+  Alcotest.(check int) "no refactorization" 0 !refactors
+
+let test_rollback_retry () =
+  Chaos.suppress @@ fun () ->
+  let p = triangles_lp 8 in
+  let n = Simplex.num_structural p in
+  let sess = Simplex.session p in
+  let root = Simplex.resolve sess in
+  optimal "root" root;
+  let lower = Array.make n 0.0 and upper = Array.make n 1.0 in
+  (* x0 = x1 = 1 breaks the row x0 + x1 <= 1 *)
+  lower.(0) <- 1.0;
+  lower.(1) <- 1.0;
+  let dead, k1 =
+    counted (fun () -> Simplex.resolve ~lower ~upper ~basis:root.Simplex.basis sess)
+  in
+  Alcotest.(check bool) "fix is infeasible" true
+    (dead.Simplex.status = Simplex.Infeasible);
+  Simplex.rollback sess;
+  lower.(1) <- 0.0;
+  let retry, k2 =
+    counted (fun () -> Simplex.resolve ~lower ~upper ~basis:root.Simplex.basis sess)
+  in
+  optimal "retry" retry;
+  same_objective "retry" retry (Simplex.solve ~lower ~upper ~basis:root.Simplex.basis p);
+  Alcotest.(check int) "failed fix and retry keep the factorization" 0 (k1 + k2)
+
+let test_stale_factor_refactorizes () =
+  Chaos.suppress @@ fun () ->
+  let p = triangles_lp 8 in
+  let n = Simplex.num_structural p in
+  let sess = Simplex.session p in
+  let root = Simplex.resolve sess in
+  optimal "root" root;
+  (* a second rollback finds nothing to return to: the session forgets
+     its factorization and the next warm start factorizes fresh, even
+     from the session's own last basis *)
+  Simplex.rollback sess;
+  Simplex.rollback sess;
+  let again, k =
+    counted (fun () -> Simplex.resolve ~basis:root.Simplex.basis sess)
+  in
+  optimal "after forgetting" again;
+  Alcotest.(check int) "zero pivots" 0 again.Simplex.iterations;
+  Alcotest.(check int) "forgotten factor: one fresh factorization" 1 k;
+  (* toggling one fix grows the eta file by a pivot or more per
+     re-solve; once it is due, the stale factorization is replaced
+     rather than carried, and every answer stays the fresh one *)
+  let lower = Array.make n 0.0 and upper = Array.make n 1.0 in
+  let basis = ref again.Simplex.basis and refactors = ref 0 and pivots = ref 0 in
+  for step = 1 to 80 do
+    lower.(3) <- (if step mod 2 = 1 then 1.0 else 0.0);
+    let sol, k =
+      counted (fun () -> Simplex.resolve ~lower ~upper ~basis:!basis sess)
+    in
+    let what = Printf.sprintf "toggle %d" step in
+    optimal what sol;
+    same_objective what sol (Simplex.solve ~lower ~upper ~basis:!basis p);
+    refactors := !refactors + k;
+    pivots := !pivots + sol.Simplex.iterations;
+    basis := sol.Simplex.basis
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "eta file refilled and replaced (%d refactorizations, %d pivots)"
+       !refactors !pivots)
+    true
+    (!refactors > 0 && !refactors < 20)
+
 let suite =
   [
     Alcotest.test_case "ftran/btran residuals, factor and etas" `Quick
@@ -291,4 +438,10 @@ let suite =
     Alcotest.test_case "golden solve_mip counts" `Quick test_golden_solve_mip;
     Alcotest.test_case "warm optimal basis refactorizes once" `Quick
       test_warm_optimal_refactorizes_once;
+    Alcotest.test_case "dive re-solves keep the factorization" `Quick
+      test_dive_keeps_factorization;
+    Alcotest.test_case "rolled-back fix, retry keeps the factorization" `Quick
+      test_rollback_retry;
+    Alcotest.test_case "stale factorization is replaced" `Quick
+      test_stale_factor_refactorizes;
   ]

@@ -496,6 +496,47 @@ let test_bench_check () =
       ("null vs baseline 1", gate 1.0, gate nan, [], g);
       ("null vs null baseline", gate nan, gate nan, [], g);
     ];
+  (* the micro phase's counters follow how many runs Bechamel fits in
+     its time quota: a drift there is compared for coverage but never
+     regresses, while the same drift in another phase does, and a
+     micro counter that vanished is still missing *)
+  let counters_doc phases =
+    Json.Obj
+      [
+        ("schema", Json.String "monpos-bench/1");
+        ("mode", Json.String "default");
+        ( "phases",
+          Json.List
+            (List.map
+               (fun (name, kvs) ->
+                 Json.Obj
+                   [
+                     ("name", Json.String name);
+                     ("seconds", Json.Float 1.0);
+                     ( "metrics",
+                       Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) kvs) );
+                   ])
+               phases) );
+      ]
+  in
+  (match
+     Bench_check.compare_reports
+       ~baseline:
+         (counters_doc
+            [
+              ("micro", [ ("greedy.picks", 4266.0); ("cover.nodes", 11625.0) ]);
+              ("fig8", [ ("greedy.picks", 4266.0) ]);
+            ])
+       ~current:
+         (counters_doc
+            [ ("micro", [ ("greedy.picks", 2620.0) ]); ("fig8", [ ("greedy.picks", 2620.0) ]) ])
+   with
+  | Ok r ->
+    Alcotest.(check (list (pair string string)))
+      "micro counters: coverage only"
+      [ ("micro", "metrics.cover.nodes"); ("fig8", "metrics.greedy.picks") ]
+      (List.map (fun f -> (f.Bench_check.phase, f.Bench_check.key)) r.Bench_check.findings)
+  | Error e -> Alcotest.fail e);
   (* a chaotic current run: violations are reported but tolerated *)
   let chaotic =
     bench_doc ~chaos_seed:7

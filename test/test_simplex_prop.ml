@@ -364,11 +364,143 @@ let test_ill_conditioned_basis () =
   let sparse = Simplex.solve ~basis ~options:sparse_opts p in
   check_agree ~case:0 ~what:"mixed scales" m dense sparse
 
+(* ------------------------------------------------------------------ *)
+(* carried vs fresh factorization differential                         *)
+
+(* Optimality certificate of a session re-solve, in minimization form
+   (sgn = -1 for Maximize): x within its bounds and every row within
+   its sense; the reported reduced costs recompute as c - y.A; every
+   nonbasic-looking reduced cost has its optimality sign (d > 0 only
+   at a finite lower bound, d < 0 only at a finite upper one, and the
+   row multipliers signed by their slack's bounds, nonzero only on
+   tight rows); and the dual objective y.b + d.x prices the optimum. *)
+let check_certificate ~case ~what model lower upper (sol : Simplex.solution)
+    (duals, reduced) =
+  let tol = 1e-6 in
+  let fail fmt = Alcotest.failf ("case %d (%s): " ^^ fmt) case what in
+  let n = Model.num_vars model in
+  let sgn = if Model.direction model = Model.Maximize then -1.0 else 1.0 in
+  let x = sol.Simplex.primal in
+  let y = Array.map (fun v -> sgn *. v) duals in
+  let d_hat =
+    Array.init n (fun j -> sgn *. Model.var_obj model (Model.var_of_index model j))
+  in
+  let yb = ref 0.0 in
+  Model.iter_constrs model (fun r terms sense rhs ->
+      let lhs = List.fold_left (fun acc (c, v) -> acc +. (c *. x.(v))) 0.0 terms in
+      List.iter (fun (c, v) -> d_hat.(v) <- d_hat.(v) -. (y.(r) *. c)) terms;
+      yb := !yb +. (y.(r) *. rhs);
+      let scale = 1.0 +. abs_float rhs in
+      let slack = rhs -. lhs in
+      (match sense with
+      | Model.Le ->
+        if slack < -.tol *. scale then fail "row %d violated" r;
+        if y.(r) > tol then fail "row %d: wrong-signed multiplier" r
+      | Model.Ge ->
+        if slack > tol *. scale then fail "row %d violated" r;
+        if y.(r) < -.tol then fail "row %d: wrong-signed multiplier" r
+      | Model.Eq -> if abs_float slack > tol *. scale then fail "row %d violated" r);
+      if abs_float y.(r) > tol && abs_float slack > tol *. scale then
+        fail "row %d: multiplier on a slack row" r);
+  let dx = ref 0.0 in
+  for j = 0 to n - 1 do
+    let d = reduced.(j) in
+    if abs_float (d -. d_hat.(j)) > tol *. (1.0 +. abs_float d) then
+      fail "reduced cost %d does not recompute" j;
+    let at b = b > neg_infinity && b < infinity && abs_float (x.(j) -. b) <= tol *. (1.0 +. abs_float b) in
+    if x.(j) < lower.(j) -. tol || x.(j) > upper.(j) +. tol then
+      fail "x%d = %g outside [%g, %g]" j x.(j) lower.(j) upper.(j);
+    if d > tol && not (at lower.(j)) then fail "x%d: d > 0 off its lower bound" j;
+    if d < -.tol && not (at upper.(j)) then fail "x%d: d < 0 off its upper bound" j;
+    dx := !dx +. (d *. x.(j))
+  done;
+  let obj = sgn *. sol.Simplex.objective in
+  if abs_float (obj -. (!yb +. !dx)) > 1e-5 *. (1.0 +. abs_float obj) then
+    fail "dual objective %.9f does not price the optimum %.9f" (!yb +. !dx) obj
+
+(* Dive-style sequences on one session: fix a variable to a value
+   near its current one and re-solve from the last basis, on the
+   session (carried factorization) and with a fresh [solve ~basis]
+   (fresh factorization of the same basis). A fix that kills the LP
+   is undone and rolled back, and the next step starts from the basis
+   before it — on the session, from the rolled-back factorization. *)
+let refactorizations () =
+  Monpos_obs.Metrics.sum_counter
+    (Monpos_obs.Metrics.snapshot Monpos_obs.Metrics.default)
+    "simplex.refactorizations"
+
+let test_carried_differential () =
+  let steps = ref 0 and rollbacks = ref 0 and refactors = ref 0 in
+  for case = 0 to cases - 1 do
+    let rng = Prng.create ((prop_seed * 2_750_159) + case) in
+    let m = random_model rng in
+    let p = Simplex.of_model m in
+    let n = Simplex.num_structural p in
+    let sess = Simplex.session p in
+    let first = Simplex.resolve sess in
+    check_agree ~case ~what:"session cold" m (Simplex.solve p) first;
+    if first.Simplex.status = Simplex.Optimal then begin
+      let lower = Array.init n (fun v -> Model.var_lb m (Model.var_of_index m v)) in
+      let upper = Array.init n (fun v -> Model.var_ub m (Model.var_of_index m v)) in
+      let basis = ref first.Simplex.basis and x = ref first.Simplex.primal in
+      for step = 1 to 6 do
+        let v = Prng.int rng n in
+        let value = Float.round !x.(v) +. float_of_int (Prng.int rng 3 - 1) in
+        if value >= lower.(v) && value <= upper.(v) then begin
+          let saved_l = lower.(v) and saved_u = upper.(v) in
+          lower.(v) <- value;
+          upper.(v) <- value;
+          let what = Printf.sprintf "carried step %d" step in
+          let r0 = refactorizations () in
+          let carried = Simplex.resolve ~lower ~upper ~basis:!basis sess in
+          refactors := !refactors + (refactorizations () - r0);
+          let fresh = Simplex.solve ~lower ~upper ~basis:!basis p in
+          incr steps;
+          if carried.Simplex.status <> fresh.Simplex.status then
+            Alcotest.failf "case %d (%s): status carried=%s fresh=%s" case what
+              (status_name carried.Simplex.status)
+              (status_name fresh.Simplex.status);
+          if carried.Simplex.status = Simplex.Optimal then begin
+            let a = carried.Simplex.objective and b = fresh.Simplex.objective in
+            if abs_float (a -. b) > 1e-9 *. (1.0 +. abs_float b) then
+              Alcotest.failf "case %d (%s): objective carried=%.12g fresh=%.12g"
+                case what a b;
+            check_certificate ~case ~what m lower upper carried
+              (Simplex.certificate sess);
+            basis := carried.Simplex.basis;
+            x := carried.Simplex.primal
+          end
+          else begin
+            lower.(v) <- saved_l;
+            upper.(v) <- saved_u;
+            Simplex.rollback sess;
+            incr rollbacks
+          end
+        end
+      done
+    end
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "enough carried re-solves (%d)" !steps)
+    true (!steps > cases / 2);
+  (* a fresh factorization per step would make these equal *)
+  Alcotest.(check bool)
+    (Printf.sprintf "re-solves keep the factorization (%d refactorizations)"
+       !refactors)
+    true (!refactors < !steps / 4);
+  Alcotest.(check bool)
+    (Printf.sprintf "rollbacks exercised (%d)" !rollbacks)
+    true (!rollbacks > 0)
+
 let suite =
   [
     Alcotest.test_case
       (Printf.sprintf "warm vs cold differential (seed %d)" prop_seed)
       `Quick test_differential;
+    Alcotest.test_case
+      (Printf.sprintf "carried vs fresh factorization differential (seed %d)"
+         prop_seed)
+      `Quick test_carried_differential;
     Alcotest.test_case "malformed basis degrades to cold" `Quick
       test_malformed_basis_degrades;
     Alcotest.test_case "explicit slack basis = cold start" `Quick
